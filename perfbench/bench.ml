@@ -7,9 +7,10 @@
      bench.exe --workload NAME --seed N --seconds S --trace 0|1
 
    The last line of stdout is one JSON object
-   {"correct", "attempted", "failed", "metrics"}: the end-to-end metrics
-   with --trace 0, the per-layer metrics (from spans the benchmark
-   records around its own calls into lib/) with --trace 1. *)
+   {"correct", "attempted", "failed", "metrics"}: the end-to-end metrics,
+   their times scaled to a reference host speed (calib.ml), with
+   --trace 0, the per-layer metrics (from spans the benchmark records
+   around its own calls into lib/) with --trace 1. *)
 
 module Digraph = Repro_graph.Digraph
 module Generators = Repro_graph.Generators
@@ -58,7 +59,17 @@ let n_ptk = 512
    across seeds; the workload seed draws their queries and faults *)
 let fixture_seed = 1
 
+(* the warm-up op in the set-up of pipeline_ptk3 and apps_match_girth
+   runs on inputs from this seed, so setup_s is the same work for every
+   workload seed *)
+let warmup_seed = 0x5a5a
+
 let setup_reps = 3
+
+(* the host-speed reading (Calib) is retaken after the first op that ends
+   this long after the last one: after every op but a serve_mixed batch *)
+let calib_every_ns = 100_000_000
+
 let out_dir = ".bench_out"
 
 (* ------------------------------------------------------------------ *)
@@ -68,7 +79,7 @@ let out_dir = ".bench_out"
 type exact = {
   rounds : int;
   messages : int;
-  width : int;
+  width : float;  (** mean width of the op's decompositions *)
   label_words : int;
   store_bytes : int;
   alloc_bytes : float;  (** filled in by run_workload *)
@@ -91,7 +102,7 @@ type workload = {
 
 and setup = { setup_exact : exact option; op : int -> unit -> unit -> finished }
 
-let no_exact = { rounds = 0; messages = 0; width = 0; label_words = 0; store_bytes = 0; alloc_bytes = 0. }
+let no_exact = { rounds = 0; messages = 0; width = 0.; label_words = 0; store_bytes = 0; alloc_bytes = 0. }
 
 let note = Span.note
 
@@ -99,7 +110,7 @@ let note = Span.note
 let note_rounds m = List.iter (fun (l, r) -> note ("rounds:" ^ l) (float r)) (Metrics.breakdown m)
 
 let show_exact e =
-  Printf.sprintf "rounds=%d messages=%d width=%d label_words=%d store_bytes=%d alloc_bytes=%.0f"
+  Printf.sprintf "rounds=%d messages=%d width=%g label_words=%d store_bytes=%d alloc_bytes=%.0f"
     e.rounds e.messages e.width e.label_words e.store_bytes e.alloc_bytes
 
 let file_size path = (Unix.stat path).Unix.st_size
@@ -190,7 +201,7 @@ let pipeline_op ~seed ~store i () =
           no_exact with
           rounds = Metrics.rounds m;
           messages = Metrics.messages m;
-          width;
+          width = float width;
           label_words;
           store_bytes;
         };
@@ -206,7 +217,7 @@ let pipeline_ptk3 ~seed =
     setup =
       (fun () ->
         (* warm-up: one op on another graph of the same size *)
-        let warm = pipeline_op ~seed:(seed lxor 0x5a5a) ~store 0 () in
+        let warm = pipeline_op ~seed:warmup_seed ~store 0 () in
         ignore (warm ());
         { setup_exact = None; op = pipeline_op ~seed ~store });
   }
@@ -241,7 +252,7 @@ let fixture_exact fx =
     no_exact with
     rounds = Metrics.rounds fx.fm;
     messages = Metrics.messages fx.fm;
-    width = Decomposition.width fx.dec;
+    width = float (Decomposition.width fx.dec);
     label_words = Dl.max_label_words fx.labels;
   }
 
@@ -396,9 +407,10 @@ let congest_faults ~seed =
 (* ------------------------------------------------------------------ *)
 (* apps_match_girth: Theorem 4 matching and Theorem 5 girth *)
 
-let apps_op ~seed ~size i () =
-  let s = mix seed i in
-  let m = Metrics.create () in
+(* one Theorem 4-5 instance: matching on a subdivided random 2-tree,
+   then girth on a weighted partial 2-tree; returns its decomposition's
+   report and [ok], which runs its oracles *)
+let apps_instance ~s ~size m =
   let gm =
     Span.with_ "graph.generate" (fun () ->
         Generators.subdivide (Generators.k_tree ~seed:s size 2))
@@ -420,23 +432,44 @@ let apps_op ~seed ~size i () =
     Span.with_ ~metrics:m "core.girth" (fun () ->
         Girth.undirected ~mode:`Charged ~dec ~seed:s gg ~metrics:m)
   in
-  fun () ->
-    note "treedec.width" (float (Decomposition.width dec));
-    note "treedec.levels" (float report.Build.levels);
+  let ok () =
     note "core.matching_augmentations" (float matching.Matching.augmentations);
     note "core.girth_trials" (float girth.Girth.trials);
-    let ok =
-      Matching_ref.is_matching gm matching.Matching.mate
-      && matching.Matching.size = Matching_ref.size (Matching_ref.hopcroft_karp gm)
-      && girth.Girth.girth = Girth_ref.girth gg
+    Matching_ref.is_matching gm matching.Matching.mate
+    && matching.Matching.size = Matching_ref.size (Matching_ref.hopcroft_karp gm)
+    && girth.Girth.girth = Girth_ref.girth gg
+  in
+  (report, ok)
+
+(* Widths (9-20), rounds and run time vary several-fold between random
+   instances, so an op solves [apps_instances] small ones: one op's cost
+   is an average, and a run (64 instances or more) compares across seeds.
+   One instance at k_tree 160 took about 2.2 s, 10 ops a run. *)
+let apps_instances = 4
+let apps_size = 40
+
+let apps_op ~seed i () =
+  let m = Metrics.create () in
+  let runs =
+    List.init apps_instances (fun k ->
+        apps_instance ~s:(mix seed ((apps_instances * i) + k)) ~size:apps_size m)
+  in
+  fun () ->
+    let ok = List.for_all Fun.id (List.map (fun (_, ok) -> ok ()) runs) in
+    let mean f =
+      float (List.fold_left (fun acc (r, _) -> acc + f r) 0 runs) /. float apps_instances
     in
+    let width = mean (fun r -> Decomposition.width r.Build.decomposition) in
+    (* per-layer width and levels are per decomposition, not per op *)
+    note "treedec.width" width;
+    note "treedec.levels" (mean (fun r -> r.Build.levels));
     {
       exact =
         {
           no_exact with
           rounds = Metrics.rounds m;
           messages = Metrics.messages m;
-          width = Decomposition.width dec;
+          width;
         };
       metrics = m;
       failures = (if ok then 0 else 1);
@@ -445,12 +478,12 @@ let apps_op ~seed ~size i () =
 let apps_match_girth ~seed =
   {
     requests = 1;
-    min_ops = 10;
+    min_ops = 16;
     setup =
       (fun () ->
-        let warm = apps_op ~seed:(seed lxor 0x5a5a) ~size:80 0 () in
+        let warm = apps_op ~seed:warmup_seed 0 () in
         ignore (warm ());
-        { setup_exact = None; op = apps_op ~seed ~size:160 });
+        { setup_exact = None; op = apps_op ~seed });
   }
 
 let workloads =
@@ -490,7 +523,8 @@ let rec take k = function x :: tl when k > 0 -> x :: take (k - 1) tl | _ -> []
 type run = {
   setup_s : float list;
   setup_exacts : exact list;
-  ops : (int * finished) list;  (** wall ns and outcome, in op order *)
+  ops : (int * float * finished) list;
+      (** wall ns, ns at the reference speed (Calib) and outcome, in op order *)
   raised : int;  (** ops that raised *)
   failed : int;
   heap_mb : float;
@@ -501,13 +535,26 @@ let run_workload (w : workload) ~seconds =
   let setups =
     List.init setup_reps (fun r ->
         Span.in_group (Span.setup_group r) (fun () ->
+            let before = Calib.read () in
             let t0 = Span.now_ns () in
             let s = w.setup () in
-            (float (Span.now_ns () - t0) /. 1e9, s)))
+            let wall = Span.now_ns () - t0 in
+            (Calib.scale wall ~before ~after:(Calib.read ()) /. 1e9, s)))
   in
   let setup = snd (List.nth setups (setup_reps - 1)) in
   let deadline = Span.now_ns () + (seconds * 1_000_000_000) in
   let ops = ref [] and raised = ref 0 and failed = ref 0 and i = ref 0 and op0 = ref None in
+  (* ops since the last calibration reading, scaled at the next one *)
+  let pending = ref [] and before = ref (Calib.read ()) and last = ref (Span.now_ns ()) in
+  let calibrate () =
+    let after = Calib.read () in
+    List.iter
+      (fun (wall, f) -> ops := (wall, Calib.scale wall ~before:!before ~after, f) :: !ops)
+      (List.rev !pending);
+    pending := [];
+    before := after;
+    last := Span.now_ns ()
+  in
   let run_op ~group i =
     match
       Span.in_group group (fun () ->
@@ -537,12 +584,14 @@ let run_workload (w : workload) ~seconds =
     | Some (wall, f) ->
         if !i = 0 then op0 := Some f;
         failed := !failed + f.failures;
-        ops := (wall, f) :: !ops
+        pending := (wall, f) :: !pending
     | None ->
         incr raised;
         failed := !failed + w.requests);
+    if Span.now_ns () - !last >= calib_every_ns then calibrate ();
     incr i
   done;
+  calibrate ();
   let heap_mb = float ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6 in
   let ops = List.rev !ops in
   (* determinism self-check: op 0 again must repeat its exact counters *)
@@ -565,10 +614,11 @@ let run_workload (w : workload) ~seconds =
   }
 
 let end_to_end (w : workload) r =
-  let walls = List.map (fun (ns, _) -> float ns /. 1e9) r.ops in
+  (* op times at the reference speed (Calib) *)
+  let walls = List.map (fun (_, scaled, _) -> scaled /. 1e9) r.ops in
   (* the exact counters average the first min_ops ops, which every run
      makes, so they repeat exactly for a seed *)
-  let first = List.map snd (take w.min_ops r.ops) in
+  let first = List.map (fun (_, _, f) -> f) (take w.min_ops r.ops) in
   let exact f = mean (List.map (fun x -> f x.exact) first) in
   let busy = List.fold_left ( +. ) 0. walls in
   let lat_us = List.map (fun s -> s *. 1e6 /. float w.requests) walls in
@@ -577,12 +627,12 @@ let end_to_end (w : workload) r =
     ("op_s", median walls, "s");
     ("qps", float (w.requests * List.length walls) /. busy, "1/s");
     ("query_us_p50", median lat_us, "us");
-    ("query_us_p99", percentile 0.99 lat_us, "us");
+    ("query_us_p90", percentile 0.9 lat_us, "us");
     ("alloc_mb_per_op", exact (fun e -> e.alloc_bytes) /. 1e6, "MB");
     ("peak_heap_mb", r.heap_mb, "MB");
     ("sim_rounds", exact (fun e -> float e.rounds), "count");
     ("sim_messages", exact (fun e -> float e.messages), "count");
-    ("decomp_width", exact (fun e -> float e.width), "count");
+    ("decomp_width", exact (fun e -> e.width), "count");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -626,7 +676,7 @@ let per_layer r =
   in
   let note_sum name = List.fold_left ( +. ) 0. (note_values name) in
   let ratio a b = if b = 0. then 0. else a /. b in
-  let op_metrics = List.map (fun (_, f) -> f.metrics) r.ops in
+  let op_metrics = List.map (fun (_, _, f) -> f.metrics) r.ops in
   let per_op f = median (List.map (fun m -> float (f m)) op_metrics) in
   let n_ops = float (List.length r.ops) in
   let self = Span.self_ns (List.filter (fun (s : Span.t) -> in_ops s.group) spans) in
@@ -705,7 +755,9 @@ let per_layer r =
       (fun l -> ("self_ms." ^ l, self_ms l, "ms"))
       [ "graph"; "treedec"; "core"; "congest"; "serve"; "op" ]
   @ [
-      ("trace.op_s", median (List.map (fun (ns, _) -> float ns /. 1e9) r.ops), "s");
+      ("trace.op_s", median (List.map (fun (_, scaled, _) -> scaled /. 1e9) r.ops), "s");
+      ("host.op_wall_s", median (List.map (fun (ns, _, _) -> float ns /. 1e9) r.ops), "s");
+      ("host.kernel_ms", median (List.map float !Calib.readings) /. 1e6, "ms");
       ("trace.span_coverage", ratio (total_op -. total_gap) total_op, "ratio");
       ( "trace.ops_covered_95",
         ratio (float (List.length covered_95)) (float (List.length op_cover)),
@@ -768,6 +820,10 @@ let () =
     Printf.eprintf "spans written to %s\n" path
   end;
   List.iter (fun (n, v, u) -> Printf.eprintf "  %-28s %14.6g %s\n" n v u) e2e;
+  Printf.eprintf "  unscaled op_s %.6g s; reference kernel %.4g ms (median of %d readings)\n"
+    (median (List.map (fun (ns, _, _) -> float ns /. 1e9) r.ops))
+    (median (List.map float !Calib.readings) /. 1e6)
+    (List.length !Calib.readings);
   Printf.printf "settings: workload=%s seed=%d seconds=%d trace=%d ops=%d audit_enabled=%b trace_sink_enabled=%b domains=1\n"
     !workload !seed !seconds !trace (List.length r.ops) !Engine.audit_enabled
     !Engine.trace_sink.Repro_obs.Sink.enabled;
