@@ -163,6 +163,154 @@ let test_scale_1024 () =
     check_int (Printf.sprintf "d(%d,%d)" u v) d.(v) (Labeling.decode labels.(u) labels.(v))
   done
 
+(* ------------------------------------------------------------------ *)
+(* Golden gate: digests of the decomposition simulator's output, pinned
+   before its host-cost refactor. Bags, the charged rounds and the SEP
+   parameters must stay byte-identical; a digest here is never
+   regenerated to make a change pass. *)
+
+module Mask = Repro_graph.Mask
+module Part = Repro_shortcut.Part
+module Pa = Repro_shortcut.Pa
+module Primitives = Repro_shortcut.Primitives
+
+let ints l = String.concat "," (List.map string_of_int l)
+
+let add_metrics b m =
+  Printf.bprintf b "r=%d m=%d [" (Metrics.rounds m) (Metrics.messages m);
+  List.iter (fun (l, r) -> Printf.bprintf b "%s=%d;" l r) (Metrics.breakdown m);
+  Buffer.add_string b "]\n"
+
+let add_decompose b ?profile ~seed g =
+  let m = Metrics.create () in
+  let r = Build.decompose ?profile ~seed g ~metrics:m in
+  let dec = r.Build.decomposition in
+  List.iter
+    (fun (k, bag) -> Printf.bprintf b "%s:%s\n" (ints k) (ints (Array.to_list bag)))
+    (List.sort compare (List.map (fun k -> (k, Decomposition.bag dec k)) (Decomposition.keys dec)));
+  Printf.bprintf b "max_t=%d levels=%d " r.Build.max_t r.Build.levels;
+  add_metrics b m
+
+let digest f =
+  let b = Buffer.create 4096 in
+  f b;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* the pipeline_ptk3 benchmark's generator at n = 512 *)
+let ptk3 ~seed n =
+  Generators.bidirect ~seed ~max_weight:9 (Generators.partial_k_tree ~seed n 3 ~keep:0.6)
+
+let test_golden_ptk3 () =
+  Alcotest.(check string) "ptk3 n=512, 8 seeds" "0000d12cc16b6453fe8996585b382f2a"
+    (digest (fun b ->
+         for seed = 1 to 8 do
+           add_decompose b ~seed (ptk3 ~seed 512)
+         done))
+
+let test_golden_zoo () =
+  Alcotest.(check string) "stress zoo" "98a1d8121a81f596cda9d68269375aa2"
+    (digest (fun b ->
+         for seed = 0 to 29 do
+           add_decompose b ~seed (instance seed)
+         done))
+
+let test_golden_paper () =
+  Alcotest.(check string) "paper profile" "da209a62ae8fbe4cf8a969248ab56498"
+    (digest (fun b ->
+         let profile = Separator.paper_profile in
+         add_decompose b ~profile ~seed:1 (Generators.partial_k_tree ~seed:3 60 2 ~keep:0.5);
+         add_decompose b ~profile ~seed:2 (Generators.grid 30 30)))
+
+(* Matching.run's top-down separator recursion, replayed through the
+   public API: every (separator, t, cost), then the run itself *)
+let add_matching b ~seed g =
+  let gs = Digraph.skeleton g in
+  let queue = Queue.create () in
+  Queue.add (Array.make (Digraph.n gs) true, 0) queue;
+  while not (Queue.is_empty queue) do
+    let mask, level = Queue.pop queue in
+    if Mask.size mask > 16 (* Matching's leaf threshold *) then begin
+      let cost = Primitives.cost_zero () in
+      let sep, t =
+        Separator.find_separator ~seed:(seed + level) gs ~mask ~x_mask:mask ~cost
+      in
+      Printf.bprintf b "%d:%s t=%d d=%d c=%d\n" level (ints sep) t
+        cost.Primitives.dilation cost.Primitives.congestion;
+      let labels, count = Traversal.components_mask gs (Mask.without mask sep) in
+      for c = 0 to count - 1 do
+        Queue.add (Array.map (fun l -> l = c) labels, level + 1) queue
+      done
+    end
+  done;
+  let m = Metrics.create () in
+  let r = Matching.run ~seed g ~metrics:m in
+  Printf.bprintf b "size=%d aug=%d levels=%d " r.Matching.size r.Matching.augmentations
+    r.Matching.levels;
+  add_metrics b m
+
+let test_golden_matching () =
+  Alcotest.(check string) "matching separators" "5f02db213e1fdd865b77421d04124907"
+    (digest (fun b ->
+         add_matching b ~seed:1 (Generators.subdivide (Generators.k_tree ~seed:1 40 2));
+         add_matching b ~seed:2
+           (Generators.subdivide (Generators.partial_k_tree ~seed:2 60 3 ~keep:0.5))))
+
+(* part-wise aggregation and its charge basis on vertex-disjoint and on
+   shared-boundary collections *)
+let pa_collections seed =
+  let n = 20 + (seed mod 40) in
+  let g = Generators.gnp_connected ~seed n 0.12 in
+  let rng = Random.State.make [| seed; 0x9a |] in
+  let mask = Array.init n (fun _ -> Random.State.float rng 1.0 > 0.3) in
+  let labels, count = Traversal.components_mask g mask in
+  let comps = Array.make count [] in
+  for v = n - 1 downto 0 do
+    if labels.(v) >= 0 then comps.(labels.(v)) <- v :: comps.(labels.(v))
+  done;
+  (* every removed vertex joins each component it touches *)
+  let shared = Array.map (fun c -> ref c) comps in
+  for v = 0 to n - 1 do
+    if labels.(v) < 0 then
+      List.iter
+        (fun c -> if not (List.mem v !(shared.(c))) then shared.(c) := !(shared.(c)) @ [ v ])
+        (List.sort_uniq compare
+           (List.filter_map
+              (fun u -> if labels.(u) >= 0 then Some labels.(u) else None)
+              (Array.to_list (Digraph.neighbors g v))))
+  done;
+  ( g,
+    [
+      Array.map Array.of_list comps;
+      Array.map (fun r -> Array.of_list !r) shared;
+    ] )
+
+let test_golden_pa () =
+  Alcotest.(check string) "part-wise aggregation" "b79a5eac446fe1d045a6e53c541c91a5"
+    (digest (fun b ->
+         for seed = 0 to 19 do
+           let g, collections = pa_collections seed in
+           List.iter
+             (fun members ->
+               if Array.length members > 0 then begin
+                 let parts = Part.make g members in
+                 let m = Metrics.create () in
+                 let results, st =
+                   Pa.aggregate parts ~op:( + )
+                     ~value:(fun ~part ~vertex -> (31 * part) + vertex)
+                     ~metrics:m ~label:"pa"
+                 in
+                 Printf.bprintf b "%s d=%d l=%d u=%d w=%d " (ints (Array.to_list results))
+                   st.Pa.depth st.Pa.max_load st.Pa.rounds_up st.Pa.rounds_down;
+                 add_metrics b m;
+                 let m = Metrics.create () in
+                 let basis = Primitives.basis parts ~metrics:m in
+                 Printf.bprintf b "basis d=%d l=%d n=%d " basis.Primitives.depth
+                   basis.Primitives.max_load basis.Primitives.n;
+                 add_metrics b m
+               end)
+             collections
+         done))
+
 let () =
   Alcotest.run "repro_stress"
     [
@@ -174,5 +322,13 @@ let () =
           Alcotest.test_case "cdl zoo" `Slow test_cdl_stress;
           Alcotest.test_case "separator profiles" `Slow test_separator_profiles_stress;
           Alcotest.test_case "scale n=1024" `Slow test_scale_1024;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "decompose ptk3 n=512" `Quick test_golden_ptk3;
+          Alcotest.test_case "decompose stress zoo" `Quick test_golden_zoo;
+          Alcotest.test_case "decompose paper profile" `Quick test_golden_paper;
+          Alcotest.test_case "matching separators" `Quick test_golden_matching;
+          Alcotest.test_case "part-wise aggregation" `Quick test_golden_pa;
         ] );
     ]
