@@ -80,7 +80,7 @@ let e1 () =
       (fun k ->
         List.map
           (fun n -> (Printf.sprintf "partial %d-tree" k, ptk ~seed:(k + n) n k))
-          [ 64; 128; 256 ])
+          [ 64; 128; 256; 512; 1024; 2048; 4096 ])
       [ 2; 3; 4 ]
     @ [ ("cycle", Generators.cycle 128); ("grid 8x8", Generators.grid 8 8) ]
   in

@@ -98,7 +98,9 @@ let run ?(mode = `Charged) ?(profile = Separator.practical_profile) ?(seed = 0) 
   if Bipartite.bipartition gs = None then
     invalid_arg "Matching.run: graph is not bipartite";
   let n = Digraph.n gs in
-  let dec_report = Build.decompose ~profile ~seed gs ~metrics in
+  (* one uncharged BFS tree prices every separator call *)
+  let tree = Primitives.bfs_tree gs in
+  let dec_report = Build.decompose ~profile ~seed ~tree gs ~metrics in
   let dec = dec_report.Build.decomposition in
   let mate = Array.make n (-1) in
   let augmentations = ref 0 in
@@ -115,7 +117,8 @@ let run ?(mode = `Charged) ?(profile = Separator.practical_profile) ?(seed = 0) 
     else begin
       let cost = Primitives.cost_zero () in
       let sep, _t =
-        Separator.find_separator ~profile ~seed:(seed + level) gs ~mask ~x_mask:mask ~cost
+        Separator.find_separator ~profile ~seed:(seed + level) ~tree gs ~mask ~x_mask:mask
+          ~cost
       in
       Metrics.add metrics ~label:"matching/sep" (Primitives.cost_rounds cost);
       internal := { mask; sep; level } :: !internal;

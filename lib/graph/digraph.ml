@@ -133,6 +133,44 @@ let induced g vs =
   let kept = Array.mapi (fun i e -> { e with id = i }) kept in
   (of_edge_array ~directed:g.directed nn kept, old_of_new, new_of_old)
 
+let induced_sorted g vs =
+  let k = Array.length vs in
+  Array.iteri
+    (fun i v ->
+      check_endpoint g.n v;
+      if i > 0 && vs.(i - 1) >= v then invalid_arg "Digraph.induced_sorted: not increasing")
+    vs;
+  (* index of [v] in [vs], or -1 *)
+  let local v =
+    let rec go lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        if vs.(mid) = v then mid else if vs.(mid) < v then go (mid + 1) hi else go lo mid
+    in
+    go 0 k
+  in
+  (* each kept edge is taken once, from its source's incidence list *)
+  let kept = ref [] in
+  Array.iter
+    (fun v ->
+      Array.iter
+        (fun ei ->
+          let e = g.edges.(ei) in
+          if e.src = v && local e.dst >= 0 then kept := ei :: !kept)
+        g.out_adj.(v))
+    vs;
+  let ids = Array.of_list !kept in
+  Array.sort Int.compare ids;
+  let edges =
+    Array.mapi
+      (fun i ei ->
+        let e = g.edges.(ei) in
+        { e with id = i; src = local e.src; dst = local e.dst })
+      ids
+  in
+  of_edge_array ~directed:g.directed k edges
+
 let reverse g =
   if not g.directed then g
   else

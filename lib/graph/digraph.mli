@@ -69,6 +69,13 @@ val max_multiplicity : t -> int
     (new id per old vertex, [-1] when absent). Edges keep weights/labels. *)
 val induced : t -> int list -> t * int array * int array
 
+(** [induced_sorted g vs] is [fst (induced g (Array.to_list vs))] for
+    strictly increasing [vs]: vertex [i] of the result is [vs.(i)]. It is
+    built from the incidence lists of [vs], in O(d log d) time for [d]
+    the sum of their degrees, instead of the O(n + m) of [induced].
+    @raise Invalid_argument if [vs] is out of range or not increasing. *)
+val induced_sorted : t -> int array -> t
+
 (** [reverse g] flips every edge's orientation (identity when undirected). *)
 val reverse : t -> t
 

@@ -72,10 +72,14 @@ let steiner_marks tree (parts : Part.t) =
   Array.iteri (fun p a -> Hashtbl.remove marked (a, p)) apex;
   (marked, marked_children, apex)
 
-let loads_of marked n =
-  let per_vertex = Array.make n 0 in
-  Hashtbl.iter (fun (v, _) () -> per_vertex.(v) <- per_vertex.(v) + 1) marked;
-  Array.fold_left max 0 per_vertex
+let loads_of marked =
+  let per_vertex = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun (v, _) () ->
+      let c = 1 + Option.value ~default:0 (Hashtbl.find_opt per_vertex v) in
+      Hashtbl.replace per_vertex v c)
+    marked;
+  Hashtbl.fold (fun _ c acc -> max c acc) per_vertex 0
 
 (* Lemma 7 (near-disjoint collections): a vertex shared between parts
    hands its contribution to a private neighbor of each part in one
@@ -86,9 +90,17 @@ let loads_of marked n =
 let delegate_shared (parts : Part.t) =
   let g = parts.Part.graph in
   let skeleton = if Digraph.directed g then Digraph.skeleton g else g in
-  let belongs = Part.parts_of parts in
-  let shared v = List.length belongs.(v) > 1 in
-  if not (Array.exists shared (Array.init (Digraph.n g) Fun.id)) then (parts, [||], false)
+  (* how many member lists name each vertex, repeats included *)
+  let multiplicity = Hashtbl.create 64 in
+  let any_shared = ref false in
+  Array.iter
+    (Array.iter (fun v ->
+         let c = 1 + Option.value ~default:0 (Hashtbl.find_opt multiplicity v) in
+         if c > 1 then any_shared := true;
+         Hashtbl.replace multiplicity v c))
+    parts.Part.members;
+  let shared v = Hashtbl.find multiplicity v > 1 in
+  if not !any_shared then (parts, [||], false)
   else begin
     let delegations = Array.map (fun _ -> []) parts.Part.members in
     let reduced =
@@ -131,33 +143,33 @@ let delegate_shared (parts : Part.t) =
 let intra_part_depth (parts : Part.t) =
   let g = parts.Part.graph in
   let skeleton = if Digraph.directed g then Digraph.skeleton g else g in
-  let n = Digraph.n skeleton in
-  let dist = Array.make n (-1) in
   let worst = ref 0 in
   let ok = ref true in
   Array.iter
     (fun members ->
       if !ok && Array.length members > 0 then begin
-        let inside = Hashtbl.create (Array.length members) in
-        Array.iter (fun v -> Hashtbl.replace inside v ()) members;
+        (* hop distance from members.(0) per member, -1 until reached *)
+        let dist = Hashtbl.create (Array.length members) in
+        Array.iter (fun v -> Hashtbl.replace dist v (-1)) members;
         let queue = Queue.create () in
-        dist.(members.(0)) <- 0;
+        Hashtbl.replace dist members.(0) 0;
         Queue.add members.(0) queue;
         let seen = ref 1 in
         let local_depth = ref 0 in
         while not (Queue.is_empty queue) do
           let v = Queue.pop queue in
-          if dist.(v) > !local_depth then local_depth := dist.(v);
+          let dv = Hashtbl.find dist v in
+          if dv > !local_depth then local_depth := dv;
           Array.iter
-            (fun u ->
-              if Hashtbl.mem inside u && dist.(u) < 0 then begin
-                dist.(u) <- dist.(v) + 1;
+            (fun ei ->
+              let u = Digraph.dst_of skeleton (Digraph.edge skeleton ei) v in
+              if Hashtbl.find_opt dist u = Some (-1) then begin
+                Hashtbl.replace dist u (dv + 1);
                 incr seen;
                 Queue.add u queue
               end)
-            (Digraph.neighbors skeleton v)
+            (Digraph.out_edges skeleton v)
         done;
-        Array.iter (fun v -> dist.(v) <- -1) members;
         if !seen < Array.length members then ok := false
         else if !local_depth > !worst then worst := !local_depth
       end)
@@ -167,7 +179,7 @@ let intra_part_depth (parts : Part.t) =
 let loads tree parts =
   let parts, _, _ = delegate_shared parts in
   let marked, _, _ = steiner_marks tree parts in
-  let steiner_load = loads_of marked (Array.length tree.Bfs_tree.parent) in
+  let steiner_load = loads_of marked in
   let steiner = (tree.Bfs_tree.depth, steiner_load) in
   let depth, max_load =
     match intra_part_depth parts with
@@ -182,7 +194,6 @@ let aggregate ?tree (parts : Part.t) ~op ~value ~metrics ~label =
   let tree =
     match tree with Some t -> t | None -> Bfs_tree.build skeleton ~root:0 ~metrics
   in
-  let original = parts in
   let parts, delegations, delegated = delegate_shared parts in
   (* fold delegated contributions into their receivers *)
   let extra = Hashtbl.create 16 in
@@ -205,7 +216,7 @@ let aggregate ?tree (parts : Part.t) ~op ~value ~metrics ~label =
   let n = Array.length tree.Bfs_tree.parent in
   let num_parts = Part.count parts in
   let marked, marked_children, apex = steiner_marks tree parts in
-  let max_load = loads_of marked n in
+  let max_load = loads_of marked in
   let children_of v p =
     match Hashtbl.find_opt marked_children (v, p) with Some l -> !l | None -> []
   in
@@ -306,7 +317,6 @@ let aggregate ?tree (parts : Part.t) ~op ~value ~metrics ~label =
       !deliveries
   done;
   let delegation_rounds = if delegated then 2 else 0 in
-  ignore original;
   (* race the two routes: Steiner (simulated above) vs intra-part trees;
      a distributed implementation runs both and keeps the first finisher *)
   let rounds_up, rounds_down =

@@ -1,21 +1,36 @@
 module Digraph = Repro_graph.Digraph
-module Traversal = Repro_graph.Traversal
 
 type t = { graph : Digraph.t; members : int array array }
 
+(* BFS from [vs.(0)] inside the set: O(sum of the degrees of [vs]) *)
 let connected_within g vs =
   match Array.length vs with
   | 0 -> false
   | 1 -> true
   | len ->
-      let mask = Array.make (Digraph.n g) false in
-      Array.iter (fun v -> mask.(v) <- true) vs;
-      let labels, _ = Traversal.components_mask g mask in
-      let c0 = labels.(vs.(0)) in
-      let ok = ref true in
-      Array.iter (fun v -> if labels.(v) <> c0 then ok := false) vs;
-      ignore len;
-      !ok
+      let reached = Hashtbl.create len in
+      Array.iter (fun v -> Hashtbl.replace reached v false) vs;
+      let queue = Queue.create () in
+      let count = ref 0 in
+      let grab u =
+        if Hashtbl.find_opt reached u = Some false then begin
+          Hashtbl.replace reached u true;
+          incr count;
+          Queue.add u queue
+        end
+      in
+      grab vs.(0);
+      while not (Queue.is_empty queue) do
+        let v = Queue.pop queue in
+        let visit ei =
+          let e = Digraph.edge g ei in
+          grab e.Digraph.src;
+          grab e.Digraph.dst
+        in
+        Array.iter visit (Digraph.out_edges g v);
+        if Digraph.directed g then Array.iter visit (Digraph.in_edges g v)
+      done;
+      !count = Hashtbl.length reached
 
 let make g members =
   Array.iteri

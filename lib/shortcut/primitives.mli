@@ -10,7 +10,19 @@
 (** Measured charge basis: BFS-tree depth and per-edge part congestion. *)
 type basis = { depth : int; max_load : int; n : int }
 
-(** [basis ?tree parts] measures the charge basis of a collection. *)
+(** [bfs_tree ?metrics g] is the BFS tree of the skeleton of [g] rooted
+    at vertex 0, the tree every charge basis is measured on. Its
+    [bfs-tree] rounds go to [metrics], by default a scratch [Metrics]
+    nobody reads: build it once that way and thread it as [?tree] through
+    the calls below, instead of letting each call rebuild it. *)
+val bfs_tree :
+  ?metrics:Repro_congest.Metrics.t -> Repro_graph.Digraph.t -> Repro_congest.Bfs_tree.tree
+
+(** [basis ?tree parts ~metrics] measures the charge basis of a
+    collection. Without [tree] it builds [bfs_tree parts.graph ~metrics],
+    charging the flood's rounds to [metrics]. A given [tree] must be
+    [bfs_tree] of the same graph; it then yields the same basis and
+    charges nothing, the flood being [basis]'s only charge. *)
 val basis :
   ?tree:Repro_congest.Bfs_tree.tree ->
   Part.t ->

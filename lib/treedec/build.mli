@@ -15,13 +15,22 @@ type report = {
   levels : int;  (** recursion depth *)
 }
 
-(** [decompose ?profile ?seed g ~metrics] builds a tree decomposition of
-    the connected graph [g] (its skeleton when directed). Rounds are
-    charged per recursion level under ["treedec/level"] (separators) and
-    ["treedec/ccd"] (component detection). *)
+(** [decompose ?profile ?seed ?tree g ~metrics] builds a tree
+    decomposition of the connected graph [g] (its skeleton when
+    directed). Rounds are charged per recursion level under
+    ["treedec/level"] (separators) and ["treedec/ccd"] (component
+    detection).
+
+    Every charge is measured on one BFS tree of the skeleton, built once
+    per call without charge unless given as [tree], which must then be
+    [Primitives.bfs_tree] of the same skeleton (rooted at 0). Passing it
+    never changes a charge. Each recursion node runs on its subgraph
+    relabeled, so its host cost is O(|G_x|) plus the degrees of its
+    vertices, not O(n). *)
 val decompose :
   ?profile:Separator.profile ->
   ?seed:int ->
+  ?tree:Repro_congest.Bfs_tree.tree ->
   Repro_graph.Digraph.t ->
   metrics:Repro_congest.Metrics.t ->
   report

@@ -46,11 +46,21 @@ val is_balanced :
   int list ->
   bool
 
-(** [sep ?profile ~rng g ~mask ~x_mask ~t ~cost] runs one SEP attempt
-    with parameter [t]; [None] means "conclude tau + 1 > t". The masked
-    subgraph must be connected and nonempty. *)
+(** {1 Threading the BFS tree}
+
+    Every charge is measured on one BFS tree of the communication graph
+    (the tree-restricted shortcuts of {!Repro_shortcut.Pa}). A given
+    [?tree] must be [Primitives.bfs_tree g], i.e. [Bfs_tree.build] of the
+    skeleton of [g] rooted at 0. Passing it never changes a charge: the
+    tree is built uncharged either way, and passing it only saves the
+    rebuild. Without it each call below builds it once. *)
+
+(** [sep ?profile ?tree ~rng g ~mask ~x_mask ~t ~cost] runs one SEP
+    attempt with parameter [t]; [None] means "conclude tau + 1 > t". The
+    masked subgraph must be connected and nonempty. *)
 val sep :
   ?profile:profile ->
+  ?tree:Repro_congest.Bfs_tree.tree ->
   rng:Random.State.t ->
   Repro_graph.Digraph.t ->
   mask:bool array ->
@@ -59,15 +69,33 @@ val sep :
   cost:Repro_shortcut.Primitives.cost ->
   int list option
 
-(** [find_separator ?profile ?seed g ~mask ~x_mask ~cost] doubles [t]
-    starting from 2 until SEP succeeds (always terminates: step 1 fires
-    once [t^2] exceeds the subgraph weight). Returns the separator and
-    the final [t]. *)
+(** [find_separator ?profile ?seed ?tree g ~mask ~x_mask ~cost] doubles
+    [t] starting from 2 until SEP succeeds (always terminates: step 1
+    fires once [t^2] exceeds the subgraph weight). Returns the separator
+    and the final [t]. The search runs on the masked subgraph relabeled
+    ({!Repro_graph.Digraph.induced_sorted}); only reading [mask] costs
+    O(n). *)
 val find_separator :
   ?profile:profile ->
   ?seed:int ->
+  ?tree:Repro_congest.Bfs_tree.tree ->
   Repro_graph.Digraph.t ->
   mask:bool array ->
   x_mask:bool array ->
+  cost:Repro_shortcut.Primitives.cost ->
+  int list * int
+
+(** [find_separator_induced ?profile ?seed ?tree g ~sub ~global ~cost]
+    is [find_separator g ~mask ~x_mask:mask ~cost] for [mask] the
+    vertices [global] (ascending), given as their induced subgraph
+    [sub = Digraph.induced_sorted g global]. The separator comes back in
+    [sub]'s ids, and the host cost is O(|sub|) rather than O(n). *)
+val find_separator_induced :
+  ?profile:profile ->
+  ?seed:int ->
+  ?tree:Repro_congest.Bfs_tree.tree ->
+  Repro_graph.Digraph.t ->
+  sub:Repro_graph.Digraph.t ->
+  global:int array ->
   cost:Repro_shortcut.Primitives.cost ->
   int list * int

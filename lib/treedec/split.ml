@@ -1,7 +1,7 @@
 type subtree = { root : int; vertices : int list }
 
 (* A working tree: a root plus the set of its vertices; adjacency comes
-   from the global [tree_adj] filtered to the member set. *)
+   from [tree_adj] filtered to the member set. *)
 type work = { wroot : int; members : (int, unit) Hashtbl.t }
 
 let work_of_list root vs =
@@ -34,7 +34,7 @@ let rooted_children tree_adj w r =
           add_child v u;
           Queue.add u queue
         end)
-      tree_adj.(v)
+      (tree_adj v)
   done;
   let child_list v =
     match Hashtbl.find_opt children v with Some l -> !l | None -> []
@@ -78,7 +78,7 @@ let collect_subtree child_list v =
   go v;
   !acc
 
-let run ~tree_adj ~root ~mu ~lo ~hi =
+let run ~tree_adj ~vertices:all ~root ~mu ~lo ~hi =
   if lo < 1 then invalid_arg "Split.run: lo must be >= 1";
   if hi < 3 * lo then invalid_arg "Split.run: need hi >= 3 * lo";
   let final = ref [] in
@@ -142,7 +142,5 @@ let run ~tree_adj ~root ~mu ~lo ~hi =
       end
     end
   in
-  let all = ref [] in
-  Array.iteri (fun v _ -> if tree_adj.(v) <> [] || v = root then all := v :: !all) tree_adj;
-  process (work_of_list root !all);
+  process (work_of_list root all);
   !final

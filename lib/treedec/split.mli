@@ -10,14 +10,16 @@
 
 type subtree = { root : int; vertices : int list }
 
-(** [run ~tree_adj ~root ~mu ~lo ~hi] splits the tree given by adjacency
-    lists [tree_adj] (tree edges only; non-tree vertices have empty
-    lists). Requires [1 <= lo] and [3 * lo <= hi]. Every returned subtree
+(** [run ~tree_adj ~vertices ~root ~mu ~lo ~hi] splits the tree on
+    [vertices] whose tree edges are [tree_adj v] (the tree neighbours of
+    [v]). Requires [1 <= lo] and [3 * lo <= hi]. Every returned subtree
     has weight at most [hi]; subtrees of weight below [lo] can only arise
     when the whole input tree is that light. The union of the returned
-    vertex sets covers the input tree. *)
+    vertex sets covers the input tree. The order of [vertices] fixes the
+    order of the returned vertex lists. *)
 val run :
-  tree_adj:int list array ->
+  tree_adj:(int -> int list) ->
+  vertices:int list ->
   root:int ->
   mu:(int -> int) ->
   lo:int ->

@@ -111,6 +111,188 @@ let prop_pa_matches_direct_fold =
            parts.Part.members))
 
 (* ------------------------------------------------------------------ *)
+(* Part and PA against O(n) references *)
+
+(* the connectivity test Part.make made before it became O(|part|) *)
+let ref_connected g vs =
+  Array.length vs > 0
+  &&
+  let mask = Array.make (Digraph.n g) false in
+  Array.iter (fun v -> mask.(v) <- true) vs;
+  let labels, _ = Traversal.components_mask g mask in
+  Array.for_all (fun v -> labels.(v) = labels.(vs.(0))) vs
+
+let make_error g members =
+  try
+    ignore (Part.make g members);
+    None
+  with Invalid_argument msg -> Some msg
+
+let prop_part_make_rejects =
+  QCheck.Test.make ~name:"Part.make rejects exactly empty and disconnected parts" ~count:100
+    QCheck.(pair (int_range 0 1000) (int_range 6 40))
+    (fun (seed, n) ->
+      let g =
+        if seed mod 2 = 0 then Generators.gnp_connected ~seed n 0.12
+        else Generators.partial_k_tree ~seed n 2 ~keep:0.4
+      in
+      let rng = Random.State.make [| seed; 0x9a7 |] in
+      (* a random subset, sometimes empty, sometimes with a repeat *)
+      let vs = List.filter (fun _ -> Random.State.int rng 4 = 0) (List.init n Fun.id) in
+      let vs = if seed mod 7 = 0 then [] else if seed mod 5 = 0 then vs @ vs else vs in
+      let vs = Array.of_list vs in
+      let expected =
+        if ref_connected g vs then None
+        else Some "Part.make: part 1 is empty or disconnected"
+      in
+      make_error g [| [| 0 |]; vs |] = expected
+      && make_error g [| [| 0; n |] |]
+         = Some (Printf.sprintf "Part.make: vertex %d out of range" n))
+
+(* Pa.loads from first principles with n-sized arrays: Lemma 7 delegation,
+   then per part the Steiner tree of its members in the BFS tree (every
+   member's path up to their lowest common ancestor, which carries
+   nothing up), raced against the parts' own spanning trees *)
+let ref_delegate g members =
+  let n = Digraph.n g in
+  let count = Array.make n 0 in
+  Array.iter (Array.iter (fun v -> count.(v) <- count.(v) + 1)) members;
+  if Array.for_all (fun c -> c <= 1) count then (members, false)
+  else
+    ( Array.map
+        (fun ms ->
+          let private_ = Array.make n false in
+          Array.iter (fun v -> if count.(v) = 1 then private_.(v) <- true) ms;
+          let kept =
+            List.filter
+              (fun v ->
+                count.(v) = 1
+                || not (Array.exists (fun u -> private_.(u)) (Digraph.neighbors g v)))
+              (Array.to_list ms)
+          in
+          if kept = [] then ms else Array.of_list kept)
+        members,
+      true )
+
+let ref_steiner_load (tree : Bfs_tree.tree) members =
+  let n = Array.length tree.Bfs_tree.parent in
+  let load = Array.make n 0 in
+  let up v = tree.Bfs_tree.parent.(v) and depth v = tree.Bfs_tree.dist.(v) in
+  let rec lca a b =
+    if a = b then a else if depth a >= depth b then lca (up a) b else lca a (up b)
+  in
+  Array.iter
+    (fun ms ->
+      let apex = Array.fold_left lca ms.(0) ms in
+      let on_path = Array.make n false in
+      Array.iter
+        (fun u ->
+          let v = ref u in
+          while !v <> apex do
+            on_path.(!v) <- true;
+            v := up !v
+          done)
+        ms;
+      Array.iteri (fun v b -> if b then load.(v) <- load.(v) + 1) on_path)
+    members;
+  Array.fold_left max 0 load
+
+let ref_intra_depth g members =
+  let n = Digraph.n g in
+  Array.fold_left
+    (fun acc ms ->
+      match acc with
+      | None -> None
+      | Some worst ->
+          let inside = Array.make n false in
+          Array.iter (fun v -> inside.(v) <- true) ms;
+          let dist = Array.make n (-1) in
+          dist.(ms.(0)) <- 0;
+          let queue = Queue.create () in
+          Queue.add ms.(0) queue;
+          let seen = ref 1 and far = ref 0 in
+          while not (Queue.is_empty queue) do
+            let v = Queue.pop queue in
+            far := max !far dist.(v);
+            Array.iter
+              (fun u ->
+                if inside.(u) && dist.(u) < 0 then begin
+                  dist.(u) <- dist.(v) + 1;
+                  incr seen;
+                  Queue.add u queue
+                end)
+              (Digraph.neighbors g v)
+          done;
+          if !seen < Array.length ms then None else Some (max worst !far))
+    (Some 0) members
+
+let ref_loads tree g members =
+  let members, _ = ref_delegate g members in
+  let steiner = ref_steiner_load tree members in
+  match ref_intra_depth g members with
+  | Some d when d + 1 < tree.Bfs_tree.depth + steiner -> (d, 1)
+  | _ -> (tree.Bfs_tree.depth, steiner)
+
+(* disjoint components of a random vertex subset, or the same components
+   each joined by every dropped vertex next to it (shared boundaries) *)
+let random_collection seed =
+  let n = 12 + (seed mod 40) in
+  let g =
+    match seed mod 3 with
+    | 0 -> Generators.gnp_connected ~seed n 0.12
+    | 1 -> Generators.partial_k_tree ~seed n 2 ~keep:0.5
+    | _ -> Generators.grid 4 (3 + (n / 6))
+  in
+  let n = Digraph.n g in
+  let rng = Random.State.make [| seed; 0x9a |] in
+  let labels, count =
+    Traversal.components_mask g (Array.init n (fun _ -> Random.State.int rng 10 >= 3))
+  in
+  let comps = Array.make count [] in
+  for v = n - 1 downto 0 do
+    if labels.(v) >= 0 then comps.(labels.(v)) <- v :: comps.(labels.(v))
+  done;
+  if seed mod 2 = 0 then (g, Array.map Array.of_list comps)
+  else begin
+    let extra = Array.make count [] in
+    for v = 0 to n - 1 do
+      if labels.(v) < 0 then
+        Array.iter
+          (fun u ->
+            let c = labels.(u) in
+            if c >= 0 && not (List.mem v extra.(c)) then extra.(c) <- v :: extra.(c))
+          (Digraph.neighbors g v)
+    done;
+    (g, Array.mapi (fun c vs -> Array.of_list (vs @ List.rev extra.(c))) comps)
+  end
+
+let prop_pa_matches_reference =
+  QCheck.Test.make ~name:"Pa.loads and Pa.aggregate = O(n) reference" ~count:80
+    QCheck.(int_range 0 2000)
+    (fun seed ->
+      let g, members = random_collection seed in
+      Array.length members = 0
+      ||
+      let parts = Part.make g members in
+      let tree = Primitives.bfs_tree g in
+      let st = Pa.loads tree parts in
+      let depth, max_load = ref_loads tree g members in
+      let m = Metrics.create () in
+      let results, ast =
+        Pa.aggregate ~tree parts ~op:( + )
+          ~value:(fun ~part ~vertex -> (7 * part) + vertex)
+          ~metrics:m ~label:"pa"
+      in
+      let delegated_parts, delegated = ref_delegate g members in
+      st.Pa.depth = depth && st.Pa.max_load = max_load
+      && results
+         = Array.mapi (fun p ms -> Array.fold_left (fun acc v -> acc + (7 * p) + v) 0 ms) members
+      && ast.Pa.depth = tree.Bfs_tree.depth
+      && ast.Pa.max_load = ref_steiner_load tree delegated_parts
+      && Metrics.rounds m
+         = ast.Pa.rounds_up + ast.Pa.rounds_down + if delegated then 2 else 0)
+
+(* ------------------------------------------------------------------ *)
 (* MVC *)
 
 let full_mask g = Array.make (Digraph.n g) true
@@ -246,7 +428,13 @@ let prop_mst_matches_kruskal =
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_pa_matches_direct_fold; prop_mvc_cut_separates_and_is_minimal; prop_mst_matches_kruskal ]
+      [
+        prop_pa_matches_direct_fold;
+        prop_part_make_rejects;
+        prop_pa_matches_reference;
+        prop_mvc_cut_separates_and_is_minimal;
+        prop_mst_matches_kruskal;
+      ]
   in
   Alcotest.run "repro_shortcut"
     [

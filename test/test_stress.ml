@@ -163,6 +163,27 @@ let test_scale_1024 () =
     check_int (Printf.sprintf "d(%d,%d)" u v) d.(v) (Labeling.decode labels.(u) labels.(v))
   done
 
+let test_scale_4096 () =
+  (* the decomposition at n=4096: valid, width and charged rounds pinned,
+     labels exact on a sample *)
+  let g = Generators.partial_k_tree ~seed:1 4096 3 ~keep:0.6 in
+  let m = Metrics.create () in
+  let report = Build.decompose ~seed:1 g ~metrics:m in
+  let dec = report.Build.decomposition in
+  (match Decomposition.validate dec with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "n=4096: %s" e);
+  check_int "width" 17 (Decomposition.width dec);
+  check_int "rounds" 18263 (Metrics.rounds m);
+  let labels = Dl.build g dec ~metrics:(Metrics.create ()) in
+  let rng = Random.State.make [| 4096 |] in
+  for _ = 1 to 16 do
+    let u = Random.State.int rng 4096 and v = Random.State.int rng 4096 in
+    check_int (Printf.sprintf "d(%d,%d)" u v)
+      (Shortest_path.dijkstra g u).(v)
+      (Labeling.decode labels.(u) labels.(v))
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Golden gate: digests of the decomposition simulator's output, pinned
    before its host-cost refactor. Bags, the charged rounds and the SEP
@@ -322,6 +343,7 @@ let () =
           Alcotest.test_case "cdl zoo" `Slow test_cdl_stress;
           Alcotest.test_case "separator profiles" `Slow test_separator_profiles_stress;
           Alcotest.test_case "scale n=1024" `Slow test_scale_1024;
+          Alcotest.test_case "scale n=4096" `Slow test_scale_4096;
         ] );
       ( "golden",
         [

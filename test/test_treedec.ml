@@ -130,10 +130,16 @@ let path_tree_adj n =
   done;
   adj
 
+(* unit weights, rooted at 0 *)
+let split adj ~lo ~hi =
+  Split.run ~tree_adj:(Array.get adj)
+    ~vertices:(List.init (Array.length adj) Fun.id)
+    ~root:0 ~mu:(fun _ -> 1) ~lo ~hi
+
 let test_split_path () =
   let n = 100 in
   let subtrees =
-    Split.run ~tree_adj:(path_tree_adj n) ~root:0 ~mu:(fun _ -> 1) ~lo:5 ~hi:20
+    split (path_tree_adj n) ~lo:5 ~hi:20
   in
   (* cover all vertices *)
   let seen = Array.make n 0 in
@@ -148,7 +154,7 @@ let test_split_path () =
     subtrees
 
 let test_split_small_tree_untouched () =
-  let subtrees = Split.run ~tree_adj:(path_tree_adj 5) ~root:0 ~mu:(fun _ -> 1) ~lo:2 ~hi:10 in
+  let subtrees = split (path_tree_adj 5) ~lo:2 ~hi:10 in
   check_int "single subtree" 1 (List.length subtrees)
 
 let prop_split_covers_and_bounds =
@@ -165,7 +171,7 @@ let prop_split_covers_and_bounds =
       done;
       let lo = max 1 (n / 20) in
       let hi = max (3 * lo) (n / 5) in
-      let subtrees = Split.run ~tree_adj:adj ~root:0 ~mu:(fun _ -> 1) ~lo ~hi in
+      let subtrees = split adj ~lo ~hi in
       let covered = Array.make n false in
       List.iter
         (fun st -> List.iter (fun v -> covered.(v) <- true) st.Split.vertices)
@@ -186,7 +192,7 @@ let prop_split_pieces_share_only_roots =
       done;
       let lo = max 1 (n / 15) in
       let hi = max (3 * lo) (n / 4) in
-      let subtrees = Split.run ~tree_adj:adj ~root:0 ~mu:(fun _ -> 1) ~lo ~hi in
+      let subtrees = split adj ~lo ~hi in
       let owner = Array.make n (-1) in
       let ok = ref true in
       List.iteri
@@ -242,6 +248,60 @@ let prop_separator_always_balanced =
       in
       Separator.is_balanced g ~mask:(full_mask g) ~x_mask:(full_mask g)
         ~profile:Separator.practical_profile sep)
+
+(* A threaded BFS tree, or the relabeled entry point Build uses, must not
+   change a separator, its t or its cost. Regions are connected pieces of
+   several generator families; X is either the region or a random half. *)
+let prop_separator_tree_equivalence =
+  QCheck.Test.make ~name:"find_separator ~tree and _induced = find_separator" ~count:40
+    QCheck.(triple (int_range 0 1000) (int_range 0 4) (int_range 20 140))
+    (fun (seed, family, n) ->
+      let g =
+        Digraph.skeleton
+          (match family with
+          | 0 -> Generators.partial_k_tree ~seed n 3 ~keep:0.6
+          | 1 -> Generators.series_parallel ~seed n
+          | 2 -> Generators.grid 6 (3 + (n / 12))
+          | 3 -> Generators.wheel (6 + (n / 4))
+          | _ -> Generators.gnp_connected ~seed (10 + (n / 4)) 0.15)
+      in
+      let nv = Digraph.n g in
+      let rng = Random.State.make [| seed; 0x7ee |] in
+      (* the largest component left after dropping about a sixth *)
+      let labels, count =
+        Traversal.components_mask g (Array.init nv (fun _ -> Random.State.int rng 6 > 0))
+      in
+      let sizes = Array.make (max 1 count) 0 in
+      Array.iter (fun l -> if l >= 0 then sizes.(l) <- sizes.(l) + 1) labels;
+      let big = ref 0 in
+      Array.iteri (fun l c -> if c > sizes.(!big) then big := l) sizes;
+      let mask = Array.map (fun l -> count > 0 && l = !big) labels in
+      let half = Random.State.bool rng in
+      let x_mask = Array.map (fun m -> m && ((not half) || Random.State.bool rng)) mask in
+      let profile =
+        if seed mod 4 = 0 then Separator.paper_profile else Separator.practical_profile
+      in
+      let run ?tree () =
+        let cost = Primitives.cost_zero () in
+        let s, t = Separator.find_separator ~profile ~seed ?tree g ~mask ~x_mask ~cost in
+        (s, t, cost.Primitives.dilation, cost.Primitives.congestion)
+      in
+      let tree = Primitives.bfs_tree g in
+      let plain = run () in
+      plain = run ~tree ()
+      && (half
+         ||
+         let global = Array.of_list (Repro_graph.Mask.vertices mask) in
+         let cost = Primitives.cost_zero () in
+         let s, t =
+           Separator.find_separator_induced ~profile ~seed ~tree g
+             ~sub:(Digraph.induced_sorted g global) ~global ~cost
+         in
+         plain
+         = ( List.map (fun v -> global.(v)) s,
+             t,
+             cost.Primitives.dilation,
+             cost.Primitives.congestion )))
 
 (* ------------------------------------------------------------------ *)
 (* Build *)
@@ -328,6 +388,7 @@ let () =
         prop_split_covers_and_bounds;
         prop_split_pieces_share_only_roots;
         prop_separator_always_balanced;
+        prop_separator_tree_equivalence;
         prop_build_valid;
         prop_exact_brackets_heuristics;
       ]
