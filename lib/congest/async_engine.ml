@@ -23,12 +23,11 @@ let length t = Pqueue.length t.q
    times are bounded by max_rounds x stall_factor x (1 + link
    latency), far below [max_int / stride] for any graph the simulator
    handles, so the encoding cannot overflow. *)
-let push t ~vt v = Pqueue.push t.q ((vt * t.stride) + v) v [@@hot]
+let push t ~vt v = Pqueue.push t.q ((vt * t.stride) + v) v
 
 let pop t =
   let prio, v = Pqueue.pop_min t.q in
   (prio / t.stride, v)
-[@@hot]
 
 (* Wire-leg salts: the k-th copy of a data message, its acknowledgement
    and the SAFE fan-out draw independent latencies. [leg_safe] = 2 is
@@ -44,7 +43,6 @@ let wire faults ~round ~src ~dst ~leg =
   match faults with
   | None -> 1
   | Some f -> 1 + Fault.latency f ~round ~src ~dst ~leg
-[@@hot]
 
 (* Lateness allowance against a neighbor already holding [strikes]
    strikes: the base deadline, doubled per consecutive miss. *)

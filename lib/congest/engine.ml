@@ -437,5 +437,5 @@ module Make (M : MSG) = struct
       Metrics.add metrics ~label 1
     done;
     states
-  [@@hot] [@@parallel_region] [@@charge_site]
+  [@@charge_site]
 end

@@ -627,7 +627,7 @@ module Make (M : Engine.MSG) = struct
       Metrics.add metrics ~label 1
     done;
     states
-  [@@hot] [@@parallel_region] [@@charge_site]
+  [@@charge_site]
 
   let run skeleton ~init ~step ~active ?faults ?on_restart ?corrupt ?audit
       ?(max_rounds = 10_000_000) ?(max_words = Engine.default_max_words) ~metrics
@@ -641,5 +641,4 @@ module Make (M : Engine.MSG) = struct
     else
       E.run skeleton ~init ~step ~active ?faults ?on_restart ?corrupt ?audit
         ~max_rounds ~max_words ~metrics ~label ()
-  [@@hot] [@@parallel_region]
 end

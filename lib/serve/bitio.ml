@@ -50,7 +50,11 @@ let rec get_loop r bits acc got =
   end
 [@@hot]
 
+(* Preallocated so the width check keeps [get] allocation-free. *)
+let width_out_of_range = Invalid_argument "Bitio.get: width out of range"
+
 let get r ~bits =
+  if bits < 0 || bits > 30 then raise width_out_of_range;
   if bits_left r < bits then raise Truncated;
   get_loop r bits 0 0
 [@@hot]

@@ -36,7 +36,10 @@ exception Truncated
 (** [reader s] starts at bit 0 of [s]. *)
 val reader : string -> reader
 
-(** [get r ~bits] consumes and returns the next [bits]-bit field.
+(** [get r ~bits] consumes and returns the next [bits]-bit field. The
+    width contract is [put]'s: [0 <= bits <= 30].
+    @raise Invalid_argument if [bits] is outside [[0, 30]]; nothing is
+    consumed.
     @raise Truncated if fewer than [bits] bits remain. *)
 val get : reader -> bits:int -> int
 

@@ -1,5 +1,5 @@
 (* The step callback writes State.total through State.record: a
-   domain-safety (and node-locality) violation. *)
+   node-locality violation through a direct mutator call. *)
 let run graph =
   let init _node = 0 in
   let step node st _inbox = State.record node; st in

@@ -8,9 +8,7 @@ module Lint = Repro_lint.Lint_core
 module Interproc = Repro_lint.Interproc
 module Cg = Repro_lint.Callgraph
 module Effects = Repro_lint.Effects
-module Domains = Repro_lint.Domains
 module Alloc = Repro_lint.Alloc
-module Widths = Repro_lint.Widths
 module Bandwidth = Repro_lint.Bandwidth
 
 let () = Repro_congest.Engine.audit_enabled := true
@@ -315,115 +313,16 @@ let test_fixture_corpus () =
       (interproc_findings (fixture_dir name)) in
   check_bool "node_locality_bad flagged" true (List.mem "node-locality" (rules_in "node_locality_bad"));
   check_int "node_locality_ok clean" 0 (List.length (rules_in "node_locality_ok"));
+  (* a step callback calling a mutator of a module-level ref directly *)
+  check_bool "domain_racy_bad flagged" true (List.mem "node-locality" (rules_in "domain_racy_bad"));
   check_bool "send_discipline_bad flagged" true
     (List.mem "send-discipline" (rules_in "send_discipline_bad"));
   check_int "send_discipline_ok clean" 0 (List.length (rules_in "send_discipline_ok"))
 
 (* ------------------------------------------------------------------ *)
-(* Domain-safety certifier *)
+(* Allocation-discipline pass *)
 
 let cg_of sources = fst (interproc sources)
-
-let domain_findings sources = Domains.findings (cg_of sources)
-
-let racy_sources =
-  [
-    ( "fx/state.ml",
-      "let total = ref 0\nlet record k = total := !total + k\nlet read () = !total" );
-    ( "fx/algo.ml",
-      "let run graph =\n\
-      \  let init _node = 0 in\n\
-      \  let step node st _inbox = State.record node; st in\n\
-      \  My_engine.run graph ~init ~step ~active:(fun _ _ -> true)" );
-  ]
-
-let test_domains_classification () =
-  let cg =
-    cg_of
-      (racy_sources
-      @ [
-          ("fx/counter.ml", "let hits = Atomic.make 0\nlet bump () = Atomic.incr hits");
-          ( "fx/config.ml",
-            "let table = Hashtbl.create 16\n\
-             let () = Hashtbl.replace table 1 \"one\"\n\
-             let find k = Hashtbl.find_opt table k" );
-        ])
-  in
-  let class_of file path =
-    match
-      List.find_opt
-        (fun (e : Domains.state_entry) ->
-          e.Domains.st_sym.Cg.s_file = file && e.Domains.st_sym.Cg.s_path = path)
-        (Domains.classify cg)
-    with
-    | Some e -> Domains.class_name e.Domains.st_class
-    | None -> Alcotest.failf "%s#%s not classified" file path
-  in
-  (* a named mutator makes the ref racy *)
-  Alcotest.(check string) "ref with writer" "racy" (class_of "fx/state.ml" "total");
-  (* Atomic is safe by construction, even with a named mutator *)
-  Alcotest.(check string) "atomic counter" "domain-safe (atomic)"
-    (class_of "fx/counter.ml" "hits");
-  (* the anonymous [let ()] initializer does not count as a writer *)
-  Alcotest.(check string) "frozen table" "domain-safe (immutable-after-init)"
-    (class_of "fx/config.ml" "table")
-
-let test_domains_racy_callback_chain () =
-  let fs = domain_findings racy_sources in
-  check_bool "domain-safety fires" true (has_finding "domain-safety" "State.total" fs);
-  (* the full reachability chain is printed *)
-  check_bool "chain printed" true
-    (has_finding "domain-safety" "step -> State.record -> State.total" fs);
-  check_bool "mutator named" true (has_finding "domain-safety" "mutated by State.record" fs)
-
-let test_domains_region_root () =
-  let fs =
-    domain_findings
-      [
-        ("fx/state.ml", "let flag = ref false\nlet set b = flag := b\nlet get () = !flag");
-        ("fx/engine.ml", "let run () = State.get () [@@parallel_region]");
-      ]
-  in
-  check_bool "region root fires" true (has_finding "domain-safety" "State.flag" fs);
-  check_bool "root described" true (has_finding "domain-safety" "parallel region `Engine.run`" fs)
-
-let test_domains_clean_twins () =
-  (* Atomic-guarded counter and immutable-after-init table: no findings
-     even though parallel regions reach them *)
-  let atomic =
-    domain_findings
-      [
-        ("fx/counter.ml", "let hits = Atomic.make 0\nlet bump () = Atomic.incr hits");
-        ("fx/engine.ml", "let run () = Counter.bump () [@@parallel_region]");
-      ]
-  in
-  check_int "atomic clean" 0 (List.length atomic);
-  let frozen =
-    domain_findings
-      [
-        ( "fx/config.ml",
-          "let table = Hashtbl.create 16\n\
-           let () = Hashtbl.replace table 1 \"one\"\n\
-           let find k = Hashtbl.find_opt table k" );
-        ("fx/engine.ml", "let run v = Config.find v [@@parallel_region]");
-      ]
-  in
-  check_int "frozen clean" 0 (List.length frozen)
-
-let test_domains_json_report () =
-  let cg = cg_of racy_sources in
-  let json = Domains.to_json cg (Domains.report cg) in
-  let contains needle =
-    let n = String.length needle in
-    let rec at i = i + n <= String.length json && (String.sub json i n = needle || at (i + 1)) in
-    at 0
-  in
-  check_bool "schema stamped" true (contains "repro-lint/domains/1");
-  check_bool "state entry present" true (contains "fx/state.ml#total");
-  check_bool "class rendered" true (contains "\"racy\"")
-
-(* ------------------------------------------------------------------ *)
-(* Allocation-discipline pass *)
 
 let hot_sites sources path =
   let reports = Alloc.analyze (cg_of sources) in
@@ -466,7 +365,10 @@ let test_alloc_clean_and_guard () =
         \  if tracing then Printf.printf \"probe %d\\n\" (Array.length arr);\n\
         \  Array.unsafe_get arr i\n\
          [@@hot]\n\
-         let hot_chain a b = hot_add a b [@@hot]" );
+         let hot_chain a b = hot_add a b [@@hot]\n\
+         let bad_width = Invalid_argument \"width\"\n\
+         let hot_raise n = if n > 30 then raise bad_width; n [@@hot]\n\
+         let hot_raise_caller n = hot_raise n [@@hot]" );
     ]
   in
   Alcotest.(check (list string)) "pure arithmetic" [] (hot_sites src "hot_add");
@@ -474,7 +376,10 @@ let test_alloc_clean_and_guard () =
   (* the tracing-guarded Printf is off the hot path by contract *)
   Alcotest.(check (list string)) "guard excluded" [] (hot_sites src "hot_guarded");
   (* calling a certified-clean sibling stays clean *)
-  Alcotest.(check (list string)) "clean chain" [] (hot_sites src "hot_chain")
+  Alcotest.(check (list string)) "clean chain" [] (hot_sites src "hot_chain");
+  (* a preallocated module-level exception is built once, not per
+     raise, so neither the raiser nor its callers allocate *)
+  Alcotest.(check (list string)) "preallocated raise" [] (hot_sites src "hot_raise_caller")
 
 let test_alloc_unmarked_functions_are_exempt () =
   let reports =
@@ -496,22 +401,18 @@ let test_alloc_json_report () =
   check_bool "hot symbol present" true (contains "fx/hot.ml#hot_tuple");
   check_bool "site kind present" true (contains "\"tuple\"")
 
-(* the on-disk twin fixtures for both new passes *)
-let test_domain_alloc_fixture_corpus () =
-  let full name =
-    let cg, fs = interproc (fixture_dir name) in
-    List.map
-      (fun (f : Lint.finding) -> f.Lint.rule)
-      (fs @ Domains.findings cg @ Alloc.findings cg)
+(* the on-disk twin fixtures *)
+let test_alloc_fixture_corpus () =
+  let hot_alloc name =
+    List.exists
+      (fun (f : Lint.finding) -> f.Lint.rule = "hot-alloc")
+      (Alloc.findings (cg_of (fixture_dir name)))
   in
-  check_bool "domain_racy_bad flagged" true (List.mem "domain-safety" (full "domain_racy_bad"));
-  check_bool "domain_atomic_ok clean" false (List.mem "domain-safety" (full "domain_atomic_ok"));
-  check_bool "domain_frozen_ok clean" false (List.mem "domain-safety" (full "domain_frozen_ok"));
-  check_bool "hot_alloc_bad flagged" true (List.mem "hot-alloc" (full "hot_alloc_bad"));
-  check_bool "hot_alloc_ok clean" false (List.mem "hot-alloc" (full "hot_alloc_ok"))
+  check_bool "hot_alloc_bad flagged" true (hot_alloc "hot_alloc_bad");
+  check_bool "hot_alloc_ok clean" false (hot_alloc "hot_alloc_ok")
 
 (* ------------------------------------------------------------------ *)
-(* Width-soundness pass: intervals, guards, codec symmetry *)
+(* Bandwidth-soundness pass: verdicts and charge-site certification *)
 
 let parsed_of sources =
   List.map
@@ -520,121 +421,6 @@ let parsed_of sources =
       | Ok s -> (file, s)
       | Error msg -> Alcotest.failf "fixture %s did not parse: %s" file msg)
     sources
-
-let widths_findings sources = Widths.findings (cg_of sources)
-
-let test_widths_truncation () =
-  (* a one-sided guard leaves the top of the range open *)
-  let fs =
-    widths_findings
-      [
-        ( "fx/pack.ml",
-          "let write_bad w v =\n\
-          \  if v < 0 then invalid_arg \"neg\";\n\
-          \  Bitio.put w ~bits:4 v" );
-      ]
-  in
-  check_bool "width-trunc fires" true (has_finding "width-trunc" "may not fit" fs);
-  (* the finding prints the data-flow chain, not just the endpoint *)
-  check_bool "data-flow chain printed" true (has_finding "width-trunc" "data-flow:" fs);
-  let clean =
-    widths_findings
-      [
-        ( "fx/pack.ml",
-          "let write_ok w v =\n\
-          \  if v < 0 || v > 15 then invalid_arg \"range\";\n\
-          \  Bitio.put w ~bits:4 v" );
-      ]
-  in
-  check_int "two-sided guard discharges" 0 (List.length clean)
-
-let test_widths_range () =
-  let fs = widths_findings [ ("fx/pack.ml", "let f w n = Bitio.put w ~bits:n 1") ] in
-  check_bool "width-range fires" true (has_finding "width-range" "may leave [0, 30]" fs);
-  let clean =
-    widths_findings
-      [
-        ( "fx/pack.ml",
-          "let f w n v =\n\
-          \  if n < 1 || n > 30 then invalid_arg \"width\";\n\
-          \  Bitio.put w ~bits:n (v land ((1 lsl n) - 1))" );
-      ]
-  in
-  check_int "guard plus mask is clean" 0 (List.length clean)
-
-let widths_pair_src ~reader_bits =
-  [
-    ( "fx/msg.ml",
-      Printf.sprintf
-        "let write_rec w a b =\n\
-        \  Bitio.put w ~bits:8 (a land 255);\n\
-        \  Bitio.put w ~bits:16 (b land 65535)\n\
-         let read_rec r =\n\
-        \  let a = Bitio.get r ~bits:8 in\n\
-        \  let b = Bitio.get r ~bits:%d in\n\
-        \  (a, b)"
-        reader_bits );
-  ]
-
-let test_widths_symmetry () =
-  let report sources = Widths.analyze (cg_of sources) in
-  (match Widths.pairs (report (widths_pair_src ~reader_bits:16)) with
-  | [ (w, r, ok) ] ->
-      Alcotest.(check string) "writer" "Msg.write_rec" w;
-      Alcotest.(check string) "reader" "Msg.read_rec" r;
-      check_bool "pair certified symmetric" true ok
-  | ps -> Alcotest.failf "expected one pair, got %d" (List.length ps));
-  let fs = Widths.findings_of_report (report (widths_pair_src ~reader_bits:8)) in
-  check_bool "codec-mismatch fires" true (has_finding "codec-mismatch" "disagree" fs);
-  (* both canonical traces are printed so the diff is actionable *)
-  check_bool "traces printed" true (has_finding "codec-mismatch" "writer trace" fs)
-
-let test_widths_dynamic_width_pair () =
-  (* the width itself rides in a 6-bit header field: the writer's
-     bits_needed certificate and the reader's recovered slot must match *)
-  let fs =
-    widths_findings
-      [
-        ( "fx/msg.ml",
-          "let write_dyn w v =\n\
-          \  if v < 0 then invalid_arg \"neg\";\n\
-          \  let n = Bitio.bits_needed v in\n\
-          \  if n > 30 then invalid_arg \"wide\";\n\
-          \  Bitio.put w ~bits:6 n;\n\
-          \  Bitio.put w ~bits:n (v land ((1 lsl n) - 1))\n\
-           let read_dyn r =\n\
-          \  let n = Bitio.get r ~bits:6 in\n\
-          \  if n > 30 then invalid_arg \"corrupt\";\n\
-          \  Bitio.get r ~bits:n" );
-      ]
-  in
-  check_int "dynamic-width pair is clean" 0 (List.length fs)
-
-let test_widths_json_report () =
-  let json = Widths.to_json (Widths.analyze (cg_of (widths_pair_src ~reader_bits:16))) in
-  let contains needle =
-    let n = String.length needle in
-    let rec at i = i + n <= String.length json && (String.sub json i n = needle || at (i + 1)) in
-    at 0
-  in
-  check_bool "schema stamped" true (contains "repro-lint/widths/1");
-  check_bool "pair present" true (contains "Msg.write_rec");
-  check_bool "symmetry rendered" true (contains "\"symmetric\": true")
-
-let test_widths_fixture_corpus () =
-  let rules_in name =
-    List.map (fun (f : Lint.finding) -> f.Lint.rule) (widths_findings (fixture_dir name))
-  in
-  check_bool "width_trunc_bad flagged" true (List.mem "width-trunc" (rules_in "width_trunc_bad"));
-  check_bool "width_trunc_bad range flagged" true
-    (List.mem "width-range" (rules_in "width_trunc_bad"));
-  check_int "width_trunc_ok clean" 0 (List.length (rules_in "width_trunc_ok"));
-  check_bool "codec_mismatch_bad flagged" true
-    (List.mem "codec-mismatch" (rules_in "codec_mismatch_bad"));
-  check_int "codec_mismatch_ok clean" 0 (List.length (rules_in "codec_mismatch_ok"))
-
-(* ------------------------------------------------------------------ *)
-(* Bandwidth-soundness pass: verdicts and charge-site certification *)
 
 let bandwidth_report sources =
   let parsed = parsed_of sources in
@@ -845,7 +631,7 @@ let test_render_baseline_roundtrip_is_quiet () =
 let test_baseline_unjustified () =
   let text =
     "hot-alloc lib/congest/engine.ml 3 # the round loop builds per-round message lists\n\
-     domain-safety lib/congest/engine.ml 1 # TODO justify\n\
+     send-discipline lib/congest/engine.ml 1 # TODO justify\n\
      hashtbl-order lib/congest/det_tbl.ml 2 # todo: look at this later\n"
   in
   match Lint.parse_baseline text with
@@ -853,7 +639,7 @@ let test_baseline_unjustified () =
   | Ok entries -> (
       match Lint.unjustified entries with
       | [ a; b ] ->
-          Alcotest.(check string) "first offender" "domain-safety" a.Lint.b_rule;
+          Alcotest.(check string) "first offender" "send-discipline" a.Lint.b_rule;
           check_int "first line number" 2 a.Lint.b_line;
           Alcotest.(check string) "second offender" "hashtbl-order" b.Lint.b_rule;
           check_int "second line number" 3 b.Lint.b_line
@@ -902,30 +688,13 @@ let () =
           Alcotest.test_case "render roundtrip" `Quick test_render_baseline_roundtrip_is_quiet;
           Alcotest.test_case "unjustified entries" `Quick test_baseline_unjustified;
         ] );
-      ( "domains",
-        [
-          Alcotest.test_case "classification" `Quick test_domains_classification;
-          Alcotest.test_case "racy callback chain" `Quick test_domains_racy_callback_chain;
-          Alcotest.test_case "region root" `Quick test_domains_region_root;
-          Alcotest.test_case "clean twins" `Quick test_domains_clean_twins;
-          Alcotest.test_case "json report" `Quick test_domains_json_report;
-        ] );
       ( "alloc",
         [
           Alcotest.test_case "allocation kinds" `Quick test_alloc_kinds;
           Alcotest.test_case "clean and guarded" `Quick test_alloc_clean_and_guard;
           Alcotest.test_case "unmarked exempt" `Quick test_alloc_unmarked_functions_are_exempt;
           Alcotest.test_case "json report" `Quick test_alloc_json_report;
-          Alcotest.test_case "fixture corpus" `Quick test_domain_alloc_fixture_corpus;
-        ] );
-      ( "widths",
-        [
-          Alcotest.test_case "truncation" `Quick test_widths_truncation;
-          Alcotest.test_case "width range" `Quick test_widths_range;
-          Alcotest.test_case "codec symmetry" `Quick test_widths_symmetry;
-          Alcotest.test_case "dynamic width pair" `Quick test_widths_dynamic_width_pair;
-          Alcotest.test_case "json report" `Quick test_widths_json_report;
-          Alcotest.test_case "fixture corpus" `Quick test_widths_fixture_corpus;
+          Alcotest.test_case "fixture corpus" `Quick test_alloc_fixture_corpus;
         ] );
       ( "bandwidth",
         [

@@ -68,7 +68,19 @@ let test_bitio_boundaries () =
     (try
        Bitio.put (Bitio.writer ()) ~bits:4 16;
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* the reader enforces the same [0, 30] width contract and consumes
+     nothing when it rejects *)
+  List.iter
+    (fun bits ->
+      let r = Bitio.reader (String.make 8 '\xff') in
+      check_bool (Printf.sprintf "get rejects %d bits" bits) true
+        (try
+           ignore (Bitio.get r ~bits);
+           false
+         with Invalid_argument _ -> true);
+      check_int "nothing consumed" 64 (Bitio.bits_left r))
+    [ 31; 40; -3 ]
 
 let test_bitio_unaligned_contents () =
   (* 3 + 7 + 11 = 21 bits: contents must flush the partial last byte *)
@@ -93,6 +105,121 @@ let test_codec_zigzag_extremes () =
   Labeling.set la ~anchor:3 ~d_to:big ~d_from:big;
   check_bool "zigzag extremes roundtrip" true
     (Labeling.equal la (Codec.decode (Codec.encode la)))
+
+(* ------------------------------------------------------------------ *)
+(* Boundary-width round trips over every codec pair *)
+
+(* [roundtrips ~equal ~write ~read x]: [read] recovers [x] from what
+   [write] appended and consumes exactly the written bits (a reader
+   that stops short or runs long misaligns every later field) *)
+let roundtrips ~equal ~write ~read x =
+  let w = Bitio.writer () in
+  write w x;
+  let s = Bitio.contents w in
+  let r = Bitio.reader s in
+  match read r with
+  | y -> equal x y && Bitio.bits_left r = (8 * String.length s) - Bitio.bit_length w
+  | exception (Bitio.Truncated | Invalid_argument _) -> false
+
+(* 2^k - 2, 2^k - 1 and 2^k for k = 0..29: every width's all-ones
+   sentinel and both of its neighbours *)
+let boundaries =
+  List.init 30 (fun k -> [ (1 lsl k) - 2; (1 lsl k) - 1; 1 lsl k ])
+  |> List.concat
+  |> List.filter (fun v -> v >= 0)
+  |> List.sort_uniq Int.compare
+
+(* per boundary value [v], named labels whose widest field is [v]: as
+   [d_to] (symmetric block, plus an all-inf anchor so the sentinel is
+   written, with the anchor gap minus one also [v]); as a raw [d_from]
+   beside an infinite [d_to]; and as the zigzagged [d_from - d_to]
+   residual *)
+let boundary_labels =
+  let unzigzag z = if z land 1 = 0 then z lsr 1 else -((z + 1) lsr 1) in
+  let base = 1 lsl 29 in
+  List.concat_map
+    (fun v ->
+      let sym = Labeling.create v in
+      Labeling.set sym ~anchor:v ~d_to:v ~d_from:v;
+      Labeling.set sym ~anchor:((2 * v) + 1) ~d_to:Digraph.inf ~d_from:Digraph.inf;
+      let raw = Labeling.create v in
+      Labeling.set raw ~anchor:0 ~d_to:v ~d_from:Digraph.inf;
+      Labeling.set raw ~anchor:1 ~d_to:Digraph.inf ~d_from:v;
+      let residual = Labeling.create v in
+      Labeling.set residual ~anchor:0 ~d_to:base ~d_from:(base + unzigzag v);
+      Labeling.set residual ~anchor:1 ~d_to:Digraph.inf ~d_from:Digraph.inf;
+      [
+        (Printf.sprintf "d_to = anchor gap - 1 = %d" v, sym);
+        (Printf.sprintf "raw d_from = %d" v, raw);
+        (Printf.sprintf "zigzag residual = %d" v, residual);
+      ])
+    boundaries
+
+let anchors_of la = Array.of_list (Labeling.anchors la)
+
+(* whole-string codecs ride the same harness as byte fields *)
+let put_bytes w s = String.iter (fun c -> Bitio.put w ~bits:8 (Char.code c)) s
+let get_bytes r = String.init (Bitio.bits_left r / 8) (fun _ -> Char.chr (Bitio.get r ~bits:8))
+
+let body_roundtrips ?owner_hint la =
+  let anchors = anchors_of la in
+  roundtrips ~equal:Labeling.equal
+    ~write:(fun w la -> Codec.write_body ?owner_hint w ~anchors la)
+    ~read:(fun r -> Codec.read_body ?owner_hint r ~anchors)
+    la
+
+(* each failing case is named, so a regression points at its field *)
+let check_all what ok cases =
+  match List.filter (fun (_, x) -> not (ok x)) cases with
+  | [] -> ()
+  | (name, _) :: _ as bad ->
+      Alcotest.failf "%s: %d boundary case(s) fail, first %s" what (List.length bad) name
+
+let test_codec_boundary_roundtrips () =
+  check_all "varint"
+    (roundtrips ~equal:Int.equal ~write:Bitio.put_varint ~read:Bitio.get_varint)
+    (List.map (fun v -> (string_of_int v, v)) (max_int :: boundaries));
+  check_all "anchors"
+    (fun la ->
+      roundtrips ~equal:( = ) ~write:Codec.write_anchors ~read:Codec.read_anchors
+        (anchors_of la))
+    boundary_labels;
+  check_all "body" body_roundtrips boundary_labels;
+  check_all "body with owner_hint"
+    (fun la -> body_roundtrips ~owner_hint:(Labeling.owner la) la)
+    boundary_labels;
+  check_all "encode/decode"
+    (roundtrips ~equal:Labeling.equal
+       ~write:(fun w la -> put_bytes w (Codec.encode la))
+       ~read:(fun r -> Codec.decode (get_bytes r)))
+    boundary_labels;
+  (* the store carries the same labels through its pool and shards *)
+  let path = temp_path ".bin" in
+  Store.save ~shard_size:16 path (Array.of_list (List.map snd boundary_labels));
+  let st = Store.open_ path in
+  List.iteri
+    (fun i (name, la) ->
+      if not (Labeling.equal la (Store.dist_label st i)) then
+        Alcotest.failf "store: record %d (%s) does not round-trip" i name)
+    boundary_labels
+
+(* A writer/reader pair that disagrees on the second field's width
+   (16 bits written, 8 read): [roundtrips] must reject it. *)
+let test_roundtrips_rejects_mismatch () =
+  let write_rec w (a, b) =
+    Bitio.put w ~bits:8 (a land 255);
+    Bitio.put w ~bits:16 (b land 65535)
+  in
+  let read_rec r =
+    let a = Bitio.get r ~bits:8 in
+    let b = Bitio.get r ~bits:8 in
+    (a, b)
+  in
+  check_bool "mismatched pair rejected at every boundary" false
+    (List.exists
+       (fun v ->
+         roundtrips ~equal:( = ) ~write:write_rec ~read:read_rec (v land 255, v land 65535))
+       boundaries)
 
 let prop_bitio_roundtrip =
   QCheck.Test.make ~name:"bitio field sequences roundtrip" ~count:200
@@ -508,6 +635,9 @@ let () =
         [
           Alcotest.test_case "inf sentinels, empty label" `Quick test_codec_inf_and_empty;
           Alcotest.test_case "zigzag extremes" `Quick test_codec_zigzag_extremes;
+          Alcotest.test_case "boundary-width roundtrips" `Quick test_codec_boundary_roundtrips;
+          Alcotest.test_case "roundtrips rejects a mismatched pair" `Quick
+            test_roundtrips_rejects_mismatch;
         ] );
       ( "text format",
         [

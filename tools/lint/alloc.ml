@@ -1,9 +1,9 @@
 (* Allocation-discipline pass (DESIGN.md §3f): the static form of the
    EObs [Gc.minor_words = 0] guarantee.
 
-   Functions annotated [@@hot] (the engine round loop, the transport
-   fast path, the metrics setters, the guarded trace-emit spine)
-   promise not to allocate on the minor heap. The EObs benchmark checks
+   Functions annotated [@@hot] (the bit reader, the serve cache, the
+   metrics setters, the guarded trace-emit spine) promise not to
+   allocate on the minor heap. The EObs benchmark checks
    this dynamically for one configuration; this pass checks it
    statically for every configuration, with per-site provenance:
 
@@ -21,10 +21,9 @@
      graph is true.
 
    Analysis is at the Parsetree level with callgraph-resolved callees
-   (ISSUE 7 asks for Typedtree; running the type-checker across
-   libraries is not feasible inside the lint, so types are approximated
-   by the external allow/deny lists — a documented deviation, DESIGN.md
-   §3f). Two deliberate exclusions keep the pass aligned with the
+   (running the type-checker across libraries is not feasible inside
+   the lint, so types are approximated by the external allow/deny
+   lists — a documented deviation, DESIGN.md §3f). Two deliberate exclusions keep the pass aligned with the
    runtime contract: branches guarded by the [tracing]/[audit] flags
    (or a [.enabled] sink field) are skipped, because the EObs guarantee
    is conditional on tracing being off; and a binding's leading
@@ -170,6 +169,17 @@ let rec strip_params (e : P.expression) : P.expression list =
         cases
   | _ -> [ e ]
 
+(* a module-level constructor/tuple/record/constant value is built once
+   at module initialization, so referencing it (say, raising a
+   preallocated exception) allocates nothing per call *)
+let rec is_static_value (e : P.expression) =
+  match e.pexp_desc with
+  | P.Pexp_constraint (e, _) -> is_static_value e
+  | P.Pexp_construct _ | P.Pexp_variant _ | P.Pexp_tuple _ | P.Pexp_record _
+  | P.Pexp_constant _ ->
+      true
+  | _ -> false
+
 let lid_path txt =
   match Longident.flatten txt with "Stdlib" :: rest -> rest | path -> path
 
@@ -306,7 +316,7 @@ let may_allocate (cg : Cg.t) : Cg.sym -> bool =
   List.iter
     (fun s ->
       match Cg.find cg s with
-      | Some b when not b.Cg.is_mutable_value ->
+      | Some b when not (b.Cg.is_mutable_value || is_static_value b.Cg.expr) ->
           Hashtbl.replace state s
             (collect cg ~file:b.Cg.file ~may_alloc:no_alloc (strip_params b.Cg.expr) <> [])
       | _ -> ())

@@ -30,8 +30,9 @@ type hot_report = { h_sym : Callgraph.sym; h_line : int; h_sites : site list }
 
 (** [may_allocate cg] — the transitive "calling this binding may
     allocate" predicate, closed over the call graph by fixpoint.
-    Mutable-value bindings are never propagated through (their
-    allocation happened at module initialization). *)
+    Mutable-value bindings and preallocated constructor/tuple/record/
+    constant values are never propagated through (their allocation
+    happened at module initialization). *)
 val may_allocate : Callgraph.t -> Callgraph.sym -> bool
 
 (** One report per [@@hot] binding, in deterministic (file, source)

@@ -23,11 +23,9 @@ val find : t -> Callgraph.sym -> summary option
     ["<file>#<dotted path>"]. *)
 val sym_id : Callgraph.sym -> string
 
-(** JSON-writing helpers shared by the [domains.json]/[alloc.json]
+(** JSON string escaping shared by the [alloc.json]/[bandwidth.json]
     emitters. *)
 val json_escape : string -> string
-
-val json_string_list : string list -> string
 
 (** The machine-readable effect report
     ([_build/default/analysis/effects.json]): one entry per binding with

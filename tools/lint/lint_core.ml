@@ -46,23 +46,10 @@ let rules =
     ( "send-discipline",
       "interprocedural: a per-node callback path charges Metrics counters directly; all \
        traffic/storage accounting must flow through the engine's single charging path" );
-    ( "domain-safety",
-      "interprocedural: a parallelizable region root (engine round loop, transport fast \
-       path, per-node callbacks) can reach Racy module-level mutable state — convert it \
-       to Atomic, prove it immutable-after-init, or shard it per domain (DESIGN.md §3f)" );
     ( "hot-alloc",
       "interprocedural: a [@@hot] function allocates (closure, tuple/record/variant box, \
        float box, partial application, or allocating callee) — the static form of the \
        EObs Gc.minor_words = 0 guarantee" );
-    ( "width-trunc",
-      "interval analysis: a value written by Bitio.put may exceed 2^bits - 1 — the field \
-       would silently truncate and the codec return a wrong value, not an error" );
-    ( "width-range",
-      "interval analysis: a ~bits width expression may leave [0, 30], the range Bitio \
-       accepts" );
-    ( "codec-mismatch",
-      "a Codec writer/reader pair disagrees on field order or widths after symbolic trace \
-       normalization — the bit-packed format has no in-band typing to catch this at runtime" );
     ( "bandwidth-sound",
       "a message module's `words` may undercharge its statically bounded content: every \
        accepted word must be accounted for the CONGEST O(log n)-bit budget to mean anything" );
@@ -74,17 +61,7 @@ let rules =
 let rule_ids = List.map fst rules
 
 let interproc_rule_ids =
-  [
-    "node-locality";
-    "send-discipline";
-    "domain-safety";
-    "hot-alloc";
-    "width-trunc";
-    "width-range";
-    "codec-mismatch";
-    "bandwidth-sound";
-    "bandwidth-charge";
-  ]
+  [ "node-locality"; "send-discipline"; "hot-alloc"; "bandwidth-sound"; "bandwidth-charge" ]
 
 (* ------------------------------------------------------------------ *)
 (* Path scoping *)
