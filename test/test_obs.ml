@@ -431,6 +431,109 @@ let test_async_replay_divergence_raises () =
   | exception Replay.Divergence _ -> ()
   | _ -> Alcotest.fail "expected Replay.Divergence on a mismatched async execution"
 
+(* ------------------------------------------------------------------ *)
+(* Executor golden digests: the outputs, Metrics JSON and recorded
+   event stream of fixed runs on both executors, pinned byte for byte.
+   Any change to routing, accounting, audit or tracing order in the
+   round loop or the pulse loop shows up here. *)
+
+let golden_graph =
+  Generators.random_weights ~seed:7 ~max_weight:9
+    (Generators.partial_k_tree ~seed:7 32 3 ~keep:0.6)
+
+(* the digest covers the run's outputs, its Metrics JSON and every
+   recorded event's JSON line *)
+let digest_run f =
+  let (outputs, metrics), events = with_recorder f in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun a ->
+      Array.iter (fun x -> Buffer.add_string b (string_of_int x ^ ",")) a;
+      Buffer.add_char b '\n')
+    outputs;
+  Buffer.add_string b (Metrics.to_json metrics);
+  List.iter
+    (fun e ->
+      Buffer.add_char b '\n';
+      Buffer.add_string b (Event.to_json e))
+    events;
+  (Digest.to_hex (Digest.string (Buffer.contents b)), events)
+
+(* BFS under recovery and reliable Bellman-Ford, one adversary each, on
+   the chaos smoke's partial-32-3 graph *)
+let bfs_and_bellman_ford profile () =
+  let g = golden_graph in
+  let skel = Digraph.skeleton g in
+  let m = Metrics.create () in
+  let t =
+    Bfs_tree.build
+      ~faults:(Fault.create ~seed:2 profile)
+      ~recovery:{ Recovery.checkpoint_every = 4 } skel ~root:0 ~metrics:m
+  in
+  let d =
+    Bellman_ford.run ~faults:(Fault.create ~seed:3 profile) ~reliable:true g ~source:0
+      ~metrics:m
+  in
+  ([ t.Bfs_tree.dist; d ], m)
+
+let amnesia_lossy =
+  Fault.profile ~drop:0.15 ~duplicate:0.1 ~max_delay:1
+    ~crashes:
+      [
+        Fault.crash 1 ~from:4 ~until:12 ~mode:Fault.Amnesia;
+        Fault.crash 5 ~from:8 ~until:22 ~mode:Fault.Amnesia;
+      ]
+    ()
+
+let partition_heal =
+  Fault.profile ~drop:0.1
+    ~partitions:[ Fault.partition ~from:0 ~heal:40 (Fault.Around [ 5 ]) ]
+    ()
+
+let straggler_sweep =
+  Fault.profile ~drop:0.1
+    ~stragglers:
+      [ Fault.straggle 2 ~from:3 ~until:9 ~factor:4; Fault.straggle 5 ~from:6 ~until:12 ]
+    ~link_latency:2 ()
+
+let skewed_clock = Fault.profile ~duplicate:0.2 ~max_delay:2 ~skew:5 ~link_latency:3 ()
+
+let test_executor_golden_digests () =
+  let check name want f =
+    let got, _ = digest_run f in
+    check_string name want got
+  in
+  (* lockstep *)
+  check "amnesia-lossy" "5ef1ef3df30738efbff31d51d2e92eee"
+    (bfs_and_bellman_ford amnesia_lossy);
+  check "partition-heal" "c70c5611a8403537e9d914403b5f4a6b"
+    (bfs_and_bellman_ford partition_heal);
+  (* asynchronous: timing profiles, and a message-only profile forced *)
+  check "straggler-sweep" "8d4026845d26882dc5939876a139267a"
+    (bfs_and_bellman_ford straggler_sweep);
+  check "skewed-clock" "68e6b843093800defdc7b6ed59af7377"
+    (bfs_and_bellman_ford skewed_clock);
+  check "amnesia-lossy forced async" "e01c593340362e83c8debfc212f35c17" (fun () ->
+      with_async (bfs_and_bellman_ford amnesia_lossy));
+  (* deadline pacing: a x40 straggler is struck out and cut *)
+  let saved = !Async_engine.deadline in
+  Async_engine.deadline := 4;
+  Fun.protect ~finally:(fun () -> Async_engine.deadline := saved) @@ fun () ->
+  let got, events =
+    digest_run (fun () ->
+        let skel = Digraph.skeleton golden_graph in
+        let profile = Fault.profile ~stragglers:[ Fault.straggle 7 ~from:2 ~factor:40 ] () in
+        let m = Metrics.create () in
+        let t, _ =
+          Bfs_tree.build_certified ~faults:(Fault.create ~seed:1 profile) skel ~root:0
+            ~metrics:m
+        in
+        ([ t.Bfs_tree.dist ], m))
+  in
+  check_bool "deadline run cuts the straggler" true
+    (List.exists (function Event.Straggler_cut _ -> true | _ -> false) events);
+  check_string "deadline-cut" "7f4a225ee72d29d12c33bd48aed2ada0" got
+
 let test_replay_divergence_raises () =
   (* replaying a trace against a different execution must fail loudly,
      not silently produce garbage *)
@@ -540,6 +643,8 @@ let () =
           Alcotest.test_case "async divergence raises" `Quick
             test_async_replay_divergence_raises;
         ] );
+      ( "executor",
+        [ Alcotest.test_case "golden digests" `Quick test_executor_golden_digests ] );
       ( "critical path",
         [
           Alcotest.test_case "flood on a path" `Quick test_critical_path_flood_on_path;
