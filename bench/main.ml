@@ -588,22 +588,40 @@ let e8 () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable rows for the fault experiments (E-F1/E-F2/E-F3),
-   flushed to BENCH_faults.json after the selected experiments ran, so
-   CI can diff fault-tolerance costs without scraping the tables. *)
+(* Machine-readable rows, one JSON file per experiment family, flushed
+   after the selected experiments ran so CI can diff costs without
+   scraping the tables: BENCH_faults.json for the fault experiments
+   (E-F1..E-F4), BENCH_serve.json for label serving (E-S1). Files are
+   written in the order their first row arrived. *)
 
-let fault_rows : string list ref = ref []
+let json_rows : (string * string list ref) list ref = ref []
 
-let fault_row ~experiment ~scenario fields =
+let json_row ~file ~experiment ~scenario fields =
   let all =
     ("experiment", Printf.sprintf "%S" experiment)
     :: ("scenario", Printf.sprintf "%S" scenario)
     :: fields
   in
-  fault_rows :=
+  let row =
     Printf.sprintf "    {%s}"
       (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) all))
-    :: !fault_rows
+  in
+  match List.assoc_opt file !json_rows with
+  | Some rows -> rows := row :: !rows
+  | None -> json_rows := !json_rows @ [ (file, ref [ row ]) ]
+
+let flush_json_rows () =
+  List.iter
+    (fun (file, rows) ->
+      let oc = open_out file in
+      output_string oc "{\n  \"rows\": [\n";
+      output_string oc (String.concat ",\n" (List.rev !rows));
+      output_string oc "\n  ]\n}\n";
+      close_out oc;
+      Printf.printf "\nwrote %s (%d rows)\n" file (List.length !rows))
+    !json_rows
+
+let fault_row = json_row ~file:"BENCH_faults.json"
 
 let metric_fields m =
   [
@@ -625,16 +643,6 @@ let metric_fields m =
     ("straggles", string_of_int (Metrics.straggles m));
     ("virtual_time", string_of_int (Metrics.virtual_time m));
   ]
-
-let flush_fault_json () =
-  if !fault_rows <> [] then begin
-    let oc = open_out "BENCH_faults.json" in
-    output_string oc "{\n  \"rows\": [\n";
-    output_string oc (String.concat ",\n" (List.rev !fault_rows));
-    output_string oc "\n  ]\n}\n";
-    close_out oc;
-    Printf.printf "\nwrote BENCH_faults.json (%d rows)\n" (List.length !fault_rows)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* E-F1: reliable transport overhead under fault injection *)
@@ -1066,24 +1074,7 @@ let eobs () =
    BENCH_serve.json (same shape as BENCH_faults.json) so CI can gate
    on size ratios and warm-vs-cold throughput without scraping. *)
 
-let serve_rows : string list ref = ref []
-
-let serve_row ~scenario fields =
-  let all = ("experiment", "\"E-S1\"") :: ("scenario", Printf.sprintf "%S" scenario) :: fields in
-  serve_rows :=
-    Printf.sprintf "    {%s}"
-      (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) all))
-    :: !serve_rows
-
-let flush_serve_json () =
-  if !serve_rows <> [] then begin
-    let oc = open_out "BENCH_serve.json" in
-    output_string oc "{\n  \"rows\": [\n";
-    output_string oc (String.concat ",\n" (List.rev !serve_rows));
-    output_string oc "\n  ]\n}\n";
-    close_out oc;
-    Printf.printf "\nwrote BENCH_serve.json (%d rows)\n" (List.length !serve_rows)
-  end
+let serve_row = json_row ~file:"BENCH_serve.json" ~experiment:"E-S1"
 
 let es1 () =
   header "E-S1: label serving — store size and query throughput (Theorem 2 deployed)"
@@ -1273,6 +1264,5 @@ let () =
   Printf.printf
     "reproduction experiment harness (rounds are simulated CONGEST rounds)\n";
   List.iter (fun (_, f) -> f ()) selected;
-  flush_fault_json ();
-  flush_serve_json ();
+  flush_json_rows ();
   Printf.printf "\nAll experiments completed.\n"

@@ -4,8 +4,9 @@
     in two: this module owns the model-independent machinery — the
     deterministic virtual-time event queue (a thin facade over
     [Repro_graph.Pqueue]), the wire-latency legs, and the process-wide
-    deadline-pacing dials — while {!Synchronizer} owns the per-message
-    pulse loop, parameterized by the message type.
+    deadline-pacing dials — while {!Engine} owns the pulse loop, which
+    shares its send routing, accounting, audit and tracing with the
+    lockstep round loop.
 
     Virtual time is dimensionless: one unit is one nominal node step
     and one nominal wire crossing. A straggler window stretches a step
@@ -15,7 +16,7 @@
     alone and a synchronous run of the same profile is byte-identical
     with or without timing dimensions. *)
 
-(** When true, {!Synchronizer} routes every run through the
+(** When true, {!Engine.Make.run} routes every run through the
     asynchronous executor even if the fault profile has no timing
     dimension (the [--async] CLI flag). Exactness tests rely on this
     to compare engines on identical profiles. *)

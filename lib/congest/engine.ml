@@ -28,6 +28,17 @@ let () =
           (Printf.sprintf "Engine.Audit_violation(%s): round %d: %s" label round detail)
     | _ -> None)
 
+let check_send ~runner ~label ~round ~node ~neighbors ~sent_to u =
+  if not (Hashtbl.mem neighbors u) then
+    invalid_arg
+      (Printf.sprintf "%s(%s): round %d: node %d sent to non-neighbor %d" runner label round
+         node u);
+  if Hashtbl.mem sent_to u then
+    invalid_arg
+      (Printf.sprintf "%s(%s): round %d: node %d sent two messages to %d in one round" runner
+         label round node u);
+  Hashtbl.add sent_to u ()
+
 module type MSG = sig
   type t
 
@@ -38,11 +49,39 @@ module Make (M : MSG) = struct
   type inbox = (int * M.t) list
   type outbox = (int * M.t) list
 
-  let run skeleton ~init ~step ~active ?faults ?on_restart ?corrupt ?audit
+  (* One executor core, two loops. Everything that enforces and counts
+     the model (per-round setup, the trace preamble, send validation,
+     fate routing and delivery, delay maturation, the buffer swap,
+     charging and the auditor) is written once below and shared by:
+
+     - the lockstep loop, which steps node v and routes v's sends
+       before stepping v + 1;
+     - the asynchronous pulse loop (Awerbuch's α-synchronizer, DESIGN.md
+       §3g), taken when the fault profile has a timing dimension or
+       {!Async_engine.forced} is set. Pulses coincide with rounds; user
+       steps run in virtual-time order off a deterministic event queue,
+       but sends are committed only once every live node has stepped,
+       in the lockstep loop's canonical order (node ascending, outbox
+       order). So the adversary's fate stream, and with it every
+       delivery, drop and duplicate, is byte-identical to the lockstep
+       loop's. Timing draws are pure hashes (Fault), so consulting them
+       in event order costs no stream position.
+
+     The lockstep loop stays separate because dispatch-then-commit would
+     interleave the trace events a step emits (Transport's do)
+     differently. The pulse loop's extras (arrival timestamps and SAFE
+     points, the Straggler cut drop, the unbounded-stall receiver check)
+     are guarded by [async]; a stall window makes a profile timing-active,
+     so none of them can fire on the lockstep loop. *)
+  let run skeleton ~init ~step ~active ?faults ?on_restart ?corrupt
       ?(max_rounds = 10_000_000) ?(max_words = default_max_words) ~metrics ~label () =
     if Digraph.directed skeleton then
       invalid_arg "Engine.run: communication network must be undirected";
-    let audit = match audit with Some b -> b | None -> !audit_enabled in
+    let audit = !audit_enabled in
+    let async =
+      !Async_engine.forced
+      || match faults with Some f -> Fault.timing_active f | None -> false
+    in
     let n = Digraph.n skeleton in
     let neighbor_sets =
       Array.init n (fun v ->
@@ -67,7 +106,8 @@ module Make (M : MSG) = struct
     in
     let in_flight = ref false in
     (* copies held back by a delay fault: (deliver_round, dst, src, msg,
-       words measured at send, send_round, corrupted in flight) *)
+       words measured at send, send_round, corrupted in flight, physical
+       arrival time on the pulse loop) *)
     let delayed = ref [] in
     let sink = !trace_sink in
     let tracing = sink.Repro_obs.Sink.enabled in
@@ -75,11 +115,12 @@ module Make (M : MSG) = struct
     (match faults with Some f -> Fault.begin_run f | None -> ());
     if tracing then begin
       emit (Repro_obs.Event.Run_start { label; faulty = Option.is_some faults });
-      (* static crash/partition windows up front so replay can rebuild
-         the profile *)
+      (* static fault windows up front so replay can rebuild the
+         profile; the timing statics are empty on the lockstep loop *)
       match faults with
       | None -> ()
       | Some f ->
+          let p = Fault.profile_of f in
           List.iter
             (fun (c : Fault.crash) ->
               emit
@@ -90,7 +131,7 @@ module Make (M : MSG) = struct
                      until_round = c.until_round;
                      amnesia = c.mode = Fault.Amnesia;
                    }))
-            (Fault.profile_of f).crashes;
+            p.crashes;
           List.iter
             (fun (p : Fault.partition) ->
               let links, nodes =
@@ -101,12 +142,40 @@ module Make (M : MSG) = struct
               emit
                 (Repro_obs.Event.Partition_window
                    { links; nodes; from_round = p.from_round; heal_round = p.heal_round }))
-            (Fault.profile_of f).partitions
+            p.partitions;
+          List.iter
+            (fun (s : Fault.straggle) ->
+              emit
+                (Repro_obs.Event.Straggle_window
+                   {
+                     node = s.s_node;
+                     from_round = s.s_from;
+                     until_round = s.s_until;
+                     factor = s.factor;
+                   }))
+            p.stragglers;
+          if Fault.timing_active f then begin
+            emit
+              (Repro_obs.Event.Timing
+                 { link_latency = p.link_latency; skew = p.skew; seed = Fault.seed_of f });
+            for v = 0 to n - 1 do
+              let offset = Fault.skew_of f v in
+              if offset > 0 then emit (Repro_obs.Event.Skew { node = v; offset })
+            done
+          end
     end;
     (* last observed up/down status per node, for crash/restart
        transition events (allocated only when tracing) *)
     let prev_down = Array.make (if tracing then n else 0) false in
-    let crashed v = match faults with None -> false | Some f -> Fault.crashed f ~round:!round v in
+    (* a node inside an unbounded stall window behaves like a
+       crash-stop: it neither steps nor sends, copies addressed to it
+       are dropped, and it is excluded from the liveness check *)
+    let down_at ~round v =
+      match faults with
+      | None -> false
+      | Some f -> Fault.crashed f ~round v || (async && Fault.stalled_forever f ~round v)
+    in
+    let down v = down_at ~round:!round v in
     let link_down src dst =
       match faults with
       | None -> false
@@ -142,7 +211,9 @@ module Make (M : MSG) = struct
       active states.(v)
       && match faults with
          | None -> true
-         | Some f -> not (Fault.crash_stopped f ~round:!round v)
+         | Some f ->
+             (not (Fault.crash_stopped f ~round:!round v))
+             && not (async && Fault.stalled_forever f ~round:!round v)
     in
     (* recursive scans instead of ref-counted loops: no per-call ref
        cells, so the quiescence check itself is allocation-free *)
@@ -212,23 +283,51 @@ module Make (M : MSG) = struct
       in
       check inbox
     in
+    (* ---- virtual-time state of the pulse loop (empty on lockstep) ---- *)
+    let vt_n = if async then n else 0 in
+    let step_end = Array.make vt_n 0 in
+    let safe_vt = Array.make vt_n 0 in
+    (* high-water mark of physical arrival timestamps into the inbox
+       being assembled for the next pulse, per destination — plus the
+       sender holding that mark and the best mark among the *other*
+       senders, so deadline pacing can judge each neighbor's arrival
+       term against the rest of the gate *)
+    let next_inbox_vt = Array.make vt_n 0 in
+    let next_inbox_src = Array.make vt_n (-1) in
+    let next_inbox_vt2 = Array.make vt_n 0 in
+    let sa_scratch = Array.make vt_n 0 in
+    let stepped = Array.make vt_n false in
+    let outboxes = Array.make vt_n ([] : outbox) in
+    let queue = Async_engine.create ~n in
+    (* deadline pacing: consecutive blown deadlines per directed
+       neighbor pair (key [u * n + v]: v waiting on u), and the set of
+       pairs v has cut; only populated when the deadline dial is on *)
+    let strikes = Hashtbl.create 8 in
+    let cut = Hashtbl.create 8 in
+    let is_cut ~src ~dst = async && Hashtbl.mem cut ((src * n) + dst) in
     (* round-scoped mutable state, hoisted out of the loop so each
        round reuses the same cells/table instead of reallocating *)
     let sent_this_round = ref 0 in
     let words_this_round = ref 0 in
     let delivered_this_round = ref 0 in
+    let pulses_this_round = ref 0 in
+    let straggles_this_round = ref 0 in
+    let safe_this_round = ref 0 in
     let sent_to = Hashtbl.create 8 in
+    let drop ~send_round ~round ~src ~dst ~words reason =
+      Metrics.add_dropped metrics 1;
+      if audit then incr a_dropped;
+      if tracing then
+        emit (Repro_obs.Event.Drop { send_round; round; src; dst; words; reason })
+    in
     (* deliver a copy into the round-[r] inboxes, dropping it if the
-       receiver is down at delivery time. [words] is the size measured
+       receiver is down at delivery time (or, on the pulse loop, has cut
+       the sender as a chronic straggler). [words] is the size measured
        when the copy was accepted; in audit mode the copy is re-measured
        on delivery so a sender mutating a message after handing it to the
-       network is caught. *)
-    let deliver ~send_round ~deliver_round ~words ?(corrupted = false) dst src msg =
-      let receiver_down =
-        match faults with
-        | None -> false
-        | Some f -> Fault.crashed f ~round:deliver_round dst
-      in
+       network is caught. [arr] is the copy's physical arrival time on
+       the pulse loop. *)
+    let deliver ~send_round ~deliver_round ~words ~arr ~corrupted dst src msg =
       (* a corrupted copy is garbled on delivery: the layer above maps
          it through its [corrupt] transform (and must preserve the word
          count — audit re-measures below); with no transform installed
@@ -248,35 +347,147 @@ module Make (M : MSG) = struct
                src dst words now
                (if corrupted then ", or size-changing corrupt transform" else ""))
       end;
-      if receiver_down then begin
-        Metrics.add_dropped metrics 1;
-        if audit then incr a_dropped;
-        if tracing then
-          emit
-            (Repro_obs.Event.Drop
-               { send_round; round = deliver_round; src; dst; words; reason = Receiver_down })
-      end
-      else if garbled_drop then begin
-        Metrics.add_dropped metrics 1;
-        if audit then incr a_dropped;
-        if tracing then
-          emit
-            (Repro_obs.Event.Drop
-               { send_round; round = deliver_round; src; dst; words; reason = Garbled })
-      end
+      let round = deliver_round in
+      if down_at ~round dst then drop ~send_round ~round ~src ~dst ~words Receiver_down
+      else if is_cut ~src ~dst then
+        (* the receiver cut this sender as a chronic straggler: its
+           copies are discarded on arrival, like a dead receiver but
+           with their own drop reason so traces and replay distinguish *)
+        drop ~send_round ~round ~src ~dst ~words Straggler
+      else if garbled_drop then drop ~send_round ~round ~src ~dst ~words Garbled
       else begin
         !next_inboxes.(dst) <- (src, msg) :: !next_inboxes.(dst);
+        if async then begin
+          if arr > next_inbox_vt.(dst) then begin
+            if next_inbox_src.(dst) <> src && next_inbox_vt.(dst) > next_inbox_vt2.(dst)
+            then next_inbox_vt2.(dst) <- next_inbox_vt.(dst);
+            next_inbox_vt.(dst) <- arr;
+            next_inbox_src.(dst) <- src
+          end
+          else if next_inbox_src.(dst) <> src && arr > next_inbox_vt2.(dst) then
+            next_inbox_vt2.(dst) <- arr
+        end;
         incr delivered_this_round;
         if audit then incr a_delivered;
         if tracing then
-          emit (Repro_obs.Event.Deliver { send_round; round = deliver_round; src; dst; words })
+          emit (Repro_obs.Event.Deliver { send_round; round; src; dst; words })
       end
     in
-    while continue () do
+    (* pulse loop: the physical arrival time of the [k]-th copy of [v]'s
+       send to [u]; its acknowledgement raises [v]'s SAFE point (drops
+       are sender-detectable: the NACK travels the ack's schedule) *)
+    let stamp v u k =
+      if not async then 0
+      else begin
+        let arr =
+          step_end.(v)
+          + Async_engine.wire faults ~round:!round ~src:v ~dst:u ~leg:(Async_engine.leg_data k)
+        in
+        let ack =
+          arr + Async_engine.wire faults ~round:!round ~src:u ~dst:v ~leg:(Async_engine.leg_ack k)
+        in
+        if ack > safe_vt.(v) then safe_vt.(v) <- ack;
+        arr
+      end
+    in
+    (* step node [v] on its sorted inbox; returns its outbox *)
+    let step_node v =
+      (* contract: inboxes are presented sorted by sender id, so
+         algorithms cannot depend on delivery-schedule accidents *)
+      let inbox = List.sort (fun (a, _) (b, _) -> Int.compare a b) !inboxes.(v) in
+      if audit then audit_inbox_sorted v inbox;
+      let st, outbox = step ~round:!round ~node:v states.(v) inbox in
+      states.(v) <- st;
+      outbox
+    in
+    (* route the [k]-th and later adversary copies of [v]'s send to [u]
+       (recursive functions built once per run, not per send) *)
+    let rec route_copies v u msg w k = function
+      | [] -> ()
+      | { Fault.extra; corrupt = corrupted } :: rest ->
+          let send_round = !round in
+          let deliver_round = send_round + 1 + extra in
+          let arr = stamp v u k in
+          if corrupted then begin
+            Metrics.add_corrupted metrics 1;
+            if tracing then
+              emit (Repro_obs.Event.Corrupt { send_round; deliver_round; src = v; dst = u })
+          end;
+          if extra = 0 then deliver ~send_round ~deliver_round ~words:w ~arr ~corrupted u v msg
+          else begin
+            (* a delay is a logical-schedule fault: on the pulse loop
+               the copy is acked on its physical schedule but buffered
+               until [deliver_round] *)
+            delayed := (deliver_round, u, v, msg, w, send_round, corrupted, arr) :: !delayed;
+            if tracing then
+              emit (Repro_obs.Event.Delay { round = send_round; src = v; dst = u; deliver_round })
+          end;
+          route_copies v u msg w (k + 1) rest
+    in
+    (* validate, charge and route one send of [v] *)
+    let send v u msg =
+      check_send ~runner:"Engine.run" ~label ~round:!round ~node:v
+        ~neighbors:neighbor_sets.(v) ~sent_to u;
+      let w = M.words msg in
+      if audit then begin
+        let w' = M.words msg in
+        if w' <> w then
+          violation
+            (Printf.sprintf "M.words unstable on message %d -> %d: measured %d then %d" v u w
+               w')
+      end;
+      if w < 1 || w > max_words then
+        invalid_arg
+          (Printf.sprintf "Engine.run(%s): round %d: node %d -> %d: message of %d words (cap %d)"
+             label !round v u w max_words);
+      incr sent_this_round;
+      words_this_round := !words_this_round + w;
+      if audit then begin
+        incr a_sent;
+        a_words := !a_words + w
+      end;
+      let send_round = !round in
+      if tracing then
+        emit (Repro_obs.Event.Send { round = send_round; src = v; dst = u; words = w });
+      match faults with
+      | None ->
+          deliver ~send_round ~deliver_round:(send_round + 1) ~words:w ~arr:(stamp v u 0)
+            ~corrupted:false u v msg
+      | Some _ when link_down v u ->
+          (* deterministic partition drop, decided before [plan] so
+             severed sends consume no adversary randomness; the sender
+             sees the dead carrier at once, so a severed send never
+             stretches its SAFE point *)
+          drop ~send_round ~round:send_round ~src:v ~dst:u ~words:w Severed
+      | Some f -> (
+          match Fault.plan f ~round:send_round ~src:v ~dst:u with
+          | [] ->
+              ignore (stamp v u 0);
+              drop ~send_round ~round:send_round ~src:v ~dst:u ~words:w Link
+          | fates ->
+              let copies = List.length fates in
+              if copies > 1 then begin
+                Metrics.add_duplicated metrics (copies - 1);
+                if audit then a_duplicated := !a_duplicated + copies - 1;
+                if tracing then
+                  emit (Repro_obs.Event.Duplicate { round = send_round; src = v; dst = u; copies })
+              end;
+              route_copies v u msg w 0 fates)
+    in
+    let rec send_all v = function
+      | [] -> ()
+      | (u, msg) :: rest ->
+          send v u msg;
+          send_all v rest
+    in
+    (* validate, charge and route [v]'s sends of this round *)
+    let commit v outbox =
+      Hashtbl.clear sent_to;
+      send_all v outbox
+    in
+    let begin_round () =
       if !round >= max_rounds then
-        raise
-          (Round_limit_exceeded
-             { label; rounds = !round; active_nodes = count_active () });
+        raise (Round_limit_exceeded { label; rounds = !round; active_nodes = count_active () });
       if tracing then begin
         emit (Repro_obs.Event.Round_start { round = !round });
         match faults with
@@ -302,124 +513,64 @@ module Make (M : MSG) = struct
       sent_this_round := 0;
       words_this_round := 0;
       delivered_this_round := 0;
+      pulses_this_round := 0;
+      straggles_this_round := 0;
+      safe_this_round := 0
+    in
+    let lockstep_round () =
       for v = 0 to n - 1 do
-        if not (crashed v) then begin
-          (* contract: inboxes are presented sorted by sender id, so
-             algorithms cannot depend on delivery-schedule accidents *)
-          let inbox = List.sort (fun (a, _) (b, _) -> Int.compare a b) !inboxes.(v) in
-          if audit then audit_inbox_sorted v inbox;
-          let st, outbox = step ~round:!round ~node:v states.(v) inbox in
-          states.(v) <- st;
-          Hashtbl.clear sent_to;
-          List.iter
-            (fun (u, msg) ->
-              if not (Hashtbl.mem neighbor_sets.(v) u) then
-                invalid_arg
-                  (Printf.sprintf "Engine.run(%s): round %d: node %d sent to non-neighbor %d"
-                     label !round v u);
-              if Hashtbl.mem sent_to u then
-                invalid_arg
-                  (Printf.sprintf
-                     "Engine.run(%s): round %d: node %d sent two messages to %d in one round"
-                     label !round v u);
-              Hashtbl.add sent_to u ();
-              let w = M.words msg in
-              if audit then begin
-                let w' = M.words msg in
-                if w' <> w then
-                  violation
-                    (Printf.sprintf
-                       "M.words unstable on message %d -> %d: measured %d then %d" v u w w')
-              end;
-              if w < 1 || w > max_words then
-                invalid_arg
-                  (Printf.sprintf
-                     "Engine.run(%s): round %d: node %d -> %d: message of %d words (cap %d)"
-                     label !round v u w max_words);
-              incr sent_this_round;
-              words_this_round := !words_this_round + w;
-              if audit then begin
-                incr a_sent;
-                a_words := !a_words + w
-              end;
-              if tracing then
-                emit (Repro_obs.Event.Send { round = !round; src = v; dst = u; words = w });
-              match faults with
-              | None -> deliver ~send_round:!round ~deliver_round:(!round + 1) ~words:w u v msg
-              | Some _ when link_down v u ->
-                  (* deterministic partition drop, decided before [plan]
-                     so severed sends consume no adversary randomness *)
-                  Metrics.add_dropped metrics 1;
-                  if audit then incr a_dropped;
-                  if tracing then
-                    emit
-                      (Repro_obs.Event.Drop
-                         {
-                           send_round = !round;
-                           round = !round;
-                           src = v;
-                           dst = u;
-                           words = w;
-                           reason = Severed;
-                         })
-              | Some f -> (
-                  match Fault.plan f ~round:!round ~src:v ~dst:u with
-                  | [] ->
-                      Metrics.add_dropped metrics 1;
-                      if audit then incr a_dropped;
-                      if tracing then
-                        emit
-                          (Repro_obs.Event.Drop
-                             {
-                               send_round = !round;
-                               round = !round;
-                               src = v;
-                               dst = u;
-                               words = w;
-                               reason = Link;
-                             })
-                  | fates ->
-                      if List.length fates > 1 then begin
-                        Metrics.add_duplicated metrics (List.length fates - 1);
-                        if audit then a_duplicated := !a_duplicated + List.length fates - 1;
-                        if tracing then
-                          emit
-                            (Repro_obs.Event.Duplicate
-                               { round = !round; src = v; dst = u; copies = List.length fates })
-                      end;
-                      List.iter
-                        (fun { Fault.extra; corrupt = corrupted } ->
-                          let deliver_round = !round + 1 + extra in
-                          if corrupted then begin
-                            Metrics.add_corrupted metrics 1;
-                            if tracing then
-                              emit
-                                (Repro_obs.Event.Corrupt
-                                   { send_round = !round; deliver_round; src = v; dst = u })
-                          end;
-                          if extra = 0 then
-                            deliver ~send_round:!round ~deliver_round ~words:w ~corrupted u v
-                              msg
-                          else begin
-                            delayed :=
-                              (deliver_round, u, v, msg, w, !round, corrupted) :: !delayed;
-                            if tracing then
-                              emit
-                                (Repro_obs.Event.Delay
-                                   { round = !round; src = v; dst = u; deliver_round })
-                          end)
-                        fates))
-            outbox
+        if not (down v) then commit v (step_node v)
+      done
+    in
+    let pulse_round () =
+      Array.fill stepped 0 n false;
+      (* dispatch: pop this pulse's events in virtual-time order and run
+         the user steps; fates wait for the commit *)
+      while not (Async_engine.is_empty queue) do
+        let vt, v = Async_engine.pop queue in
+        if not (down v) then begin
+          let factor =
+            match faults with None -> 1 | Some f -> Fault.straggle_factor f ~round:!round v
+          in
+          step_end.(v) <- vt + max 1 factor;
+          incr pulses_this_round;
+          if factor <> 1 then begin
+            incr straggles_this_round;
+            if tracing then
+              emit (Repro_obs.Event.Straggle { round = !round; node = v; factor; vt })
+          end;
+          if tracing then emit (Repro_obs.Event.Pulse { round = !round; node = v; vt });
+          outboxes.(v) <- step_node v;
+          stepped.(v) <- true
         end
       done;
+      (* commit: canonical node order, lockstep-identical fate draws and
+         accounting, then the SAFE fan-out to live neighbors (a cutter
+         still receives and ignores the cuttee's SAFE — the cut is its
+         local decision, invisible to the straggler) *)
+      for v = 0 to n - 1 do
+        if stepped.(v) then begin
+          safe_vt.(v) <- step_end.(v);
+          commit v outboxes.(v);
+          outboxes.(v) <- [];
+          Metrics.observe_virtual_time metrics safe_vt.(v);
+          Array.iter
+            (fun u -> if not (down u) then incr safe_this_round)
+            (Digraph.neighbors skeleton v);
+          if tracing then
+            emit (Repro_obs.Event.Safe { round = !round; node = v; vt = safe_vt.(v) })
+        end
+      done
+    in
+    let end_round () =
       (* copies whose delay matured this round join the next inboxes *)
       let matured, still_held =
-        List.partition (fun (dr, _, _, _, _, _, _) -> dr = !round + 1) !delayed
+        List.partition (fun (dr, _, _, _, _, _, _, _) -> dr = !round + 1) !delayed
       in
       delayed := still_held;
       List.iter
-        (fun (dr, dst, src, msg, w, sr, corrupted) ->
-          deliver ~send_round:sr ~deliver_round:dr ~words:w ~corrupted dst src msg)
+        (fun (dr, dst, src, msg, w, sr, corrupted, arr) ->
+          deliver ~send_round:sr ~deliver_round:dr ~words:w ~arr ~corrupted dst src msg)
         matured;
       (* swap the buffers: this round's deliveries become next round's
          inboxes, and the consumed array is wiped for reuse *)
@@ -431,8 +582,100 @@ module Make (M : MSG) = struct
       Metrics.add_messages metrics !sent_this_round;
       Metrics.add_words metrics !words_this_round;
       Metrics.add_delivered metrics !delivered_this_round;
+      Metrics.add_pulses metrics !pulses_this_round;
+      Metrics.add_straggles metrics !straggles_this_round;
+      Metrics.add_safe_messages metrics !safe_this_round;
       if audit then audit_round_end ();
-      if tracing then emit (Repro_obs.Event.Round_end { round = !round });
+      if tracing then emit (Repro_obs.Event.Round_end { round = !round })
+    in
+    (* the α gate: each node starts its next pulse once its own step and
+       SAFE are done, every copy addressed into that pulse has physically
+       arrived, and every live uncut neighbor's SAFE for this pulse has
+       reached it. Deadline pacing never shortens the wait directly; it
+       watches for a neighbor whose terms ALONE hold the gate open past
+       everything else the node is waiting for — a relative criterion:
+       lag a neighbor merely inherits from a straggler deeper in the
+       graph is shared by the rest of the gate and cancels out, so cuts
+       single out the chronic bottleneck instead of cascading ring by
+       ring — and cuts it after max_strikes consecutive blown allowances. *)
+    let gate_round () =
+      let deadline_on = !Async_engine.deadline > 0 in
+      for v = 0 to n - 1 do
+        let own = max step_end.(v) safe_vt.(v) in
+        let gate = ref (max own next_inbox_vt.(v)) in
+        if stepped.(v) then begin
+          (* first pass: neighbor SAFE arrivals, tracking the top two
+             (by distinct sender) for the per-neighbor runner-up term *)
+          let sa_best = ref 0 and sa_best_u = ref (-1) and sa_second = ref 0 in
+          let eligible = ref 0 in
+          Array.iter
+            (fun u ->
+              if u <> v && stepped.(u) && not (is_cut ~src:u ~dst:v) then begin
+                let sa =
+                  safe_vt.(u)
+                  + Async_engine.wire faults ~round:!round ~src:u ~dst:v
+                      ~leg:Async_engine.leg_safe
+                in
+                sa_scratch.(u) <- sa;
+                incr eligible;
+                if sa > !sa_best then begin
+                  sa_second := !sa_best;
+                  sa_best := sa;
+                  sa_best_u := u
+                end
+                else if sa > !sa_second then sa_second := sa;
+                if sa > !gate then gate := sa
+              end)
+            (Digraph.neighbors skeleton v);
+          (* striking needs an independent witness: with a single
+             eligible neighbor there is no reference separating the
+             neighbor's own lag from lag it merely inherits, and
+             cutting your only neighbor just disconnects yourself *)
+          if deadline_on && !eligible >= 2 then
+            Array.iter
+              (fun u ->
+                if u <> v && stepped.(u) && not (is_cut ~src:u ~dst:v) then begin
+                  let arr_u, arr_rest =
+                    if next_inbox_src.(v) = u then (next_inbox_vt.(v), next_inbox_vt2.(v))
+                    else (0, next_inbox_vt.(v))
+                  in
+                  let sa_rest = if !sa_best_u = u then !sa_second else !sa_best in
+                  let rest = max own (max arr_rest sa_rest) in
+                  let u_term = max sa_scratch.(u) arr_u in
+                  let key = (u * n) + v in
+                  let s = match Hashtbl.find_opt strikes key with Some s -> s | None -> 0 in
+                  if u_term - rest > 2 * Async_engine.strike_allowance ~strikes:s then begin
+                    let s = s + 1 in
+                    if s >= !Async_engine.max_strikes then begin
+                      Hashtbl.replace cut key ();
+                      Hashtbl.remove strikes key;
+                      if tracing then
+                        emit
+                          (Repro_obs.Event.Straggler_cut
+                             { round = !round; node = v; peer = u; vt = u_term })
+                    end
+                    else Hashtbl.replace strikes key s
+                  end
+                  else Hashtbl.remove strikes key
+                end)
+              (Digraph.neighbors skeleton v)
+        end;
+        next_inbox_vt.(v) <- 0;
+        next_inbox_src.(v) <- -1;
+        next_inbox_vt2.(v) <- 0;
+        Async_engine.push queue ~vt:!gate v
+      done
+    in
+    (* pulse 0 starts at each node's clock-skew offset *)
+    if async then
+      for v = 0 to n - 1 do
+        Async_engine.push queue ~vt:(match faults with None -> 0 | Some f -> Fault.skew_of f v) v
+      done;
+    while continue () do
+      begin_round ();
+      if async then pulse_round () else lockstep_round ();
+      end_round ();
+      if async then gate_round ();
       incr round;
       Metrics.add metrics ~label 1
     done;

@@ -1,4 +1,4 @@
-(** Synchronous message-passing CONGEST engine.
+(** Message-passing CONGEST engine.
 
     The communication network is the skeleton [[G]] of the input graph
     (Section 2.1 of the paper): undirected, simple, unweighted. In each
@@ -9,6 +9,38 @@
     Algorithms are given as a [step] function. The engine enforces the
     bandwidth constraint and counts rounds, messages, and words into a
     {!Metrics.t}.
+
+    One core runs two executors (DESIGN.md Section 3g). Runs step in
+    lockstep by default. A run whose fault profile has a timing
+    dimension ({!Fault.timing_active}), or any run while
+    {!Async_engine.forced} is set, executes on an asynchronous
+    virtual-time substrate under Awerbuch's α-synchronizer instead:
+
+    - a {e pulse} coincides with one round. Node [v] begins pulse 0 at
+      its clock-skew offset; its pulse-[p] computation costs
+      [straggle_factor] virtual-time units.
+    - every copy [v] sends spends [1 + latency] units per wire
+      crossing; when the acknowledgement of every pulse-[p] copy is
+      back (drops are sender-detectable — the NACK travels the ack's
+      schedule), [v] is {e safe} and fans SAFE to its live neighbors.
+    - [v] starts pulse [p + 1] at the maximum of: its own step end and
+      SAFE point, the physical arrival of every copy addressed into
+      pulse [p + 1], and the arrival of every live uncut neighbor's
+      pulse-[p] SAFE. When {!Async_engine.deadline} pacing is on, a
+      neighbor whose terms alone hold that gate open past everything
+      else [v] is waiting for (by more than the backed-off allowance)
+      is struck, and after [max_strikes] consecutive strikes cut; its
+      copies then drop with reason [Straggler], starving the heartbeat
+      {!Detector} into suspecting it.
+
+    User steps run in virtual-time order, but the adversary's fates are
+    drawn at pulse commit in the lockstep order and timing draws are
+    pure seed hashes, so outputs and the core traffic metrics are
+    byte-identical to a lockstep run whenever the timing dimensions
+    preserve semantics (no unbounded stalls, deadline pacing off).
+    The α-synchronizer's overhead is charged to the separate [pulses] /
+    [safe_messages] / [straggles] / [virtual_time] counters. A node
+    inside an unbounded stall window is treated as crash-stopped.
 
     Links are reliable by default. An optional {!Fault.t} adversary can
     drop, duplicate, and delay messages and take nodes down according to
@@ -41,9 +73,10 @@ exception
       mutated while "in flight" breaks the bandwidth model silently). *)
 exception Audit_violation of { label : string; round : int; detail : string }
 
-(** When true, every [run] without an explicit [?audit] argument audits.
-    The test suites set this so accounting drift fails tests; it defaults
-    to [false] for production runs. *)
+(** When true, every [run] cross-checks the conservation invariants
+    documented on {!Audit_violation} at the end of every round. The test
+    suites set this so accounting drift fails tests; it defaults to
+    [false] for production runs. *)
 val audit_enabled : bool ref
 
 (** Process-wide trace sink (DESIGN.md "Observability"). Defaults to
@@ -56,6 +89,25 @@ val audit_enabled : bool ref
     zero allocation and no measurable cost; the engine never depends
     on a concrete sink implementation. *)
 val trace_sink : Repro_obs.Sink.t ref
+
+(** [check_send ~runner ~label ~round ~node ~neighbors ~sent_to u]
+    enforces the per-round send contract on [node]'s message to [u]:
+    [u] must be a key of [neighbors], and [node] must not have sent to
+    [u] already this round ([sent_to], which records [u]). The engine
+    checks every outbox with it, and {!Transport} checks the user
+    step's sends before queueing them.
+
+    @raise Invalid_argument naming [runner], [label], [round], [node]
+    and [u]. *)
+val check_send :
+  runner:string ->
+  label:string ->
+  round:int ->
+  node:int ->
+  neighbors:(int, 'a) Hashtbl.t ->
+  sent_to:(int, unit) Hashtbl.t ->
+  int ->
+  unit
 
 module type MSG = sig
   type t
@@ -119,9 +171,6 @@ module Make (M : MSG) : sig
         garbage: it is discarded at delivery time like a frame-level
         CRC failure (a [Drop] with reason [Garbled], charged as
         dropped).
-      - [audit], when true (default: {!audit_enabled}), cross-checks the
-        conservation invariants documented on {!Audit_violation} at the
-        end of every round.
       - Rounds consumed are charged to [metrics] under [label]; accepted
         sends are charged as messages and words, accepted deliveries as
         delivered.
@@ -129,7 +178,8 @@ module Make (M : MSG) : sig
       @raise Invalid_argument on bandwidth violation. The message names
       the run label, round, sending node, receiver, and (for size
       violations) the measured words and the cap.
-      @raise Audit_violation in audit mode on accounting drift. *)
+      @raise Audit_violation in audit mode ({!audit_enabled}) on
+      accounting drift. *)
   val run :
     Repro_graph.Digraph.t ->
     init:(int -> 'st) ->
@@ -138,7 +188,6 @@ module Make (M : MSG) : sig
     ?faults:Fault.t ->
     ?on_restart:(round:int -> node:int -> 'st) ->
     ?corrupt:(M.t -> M.t) ->
-    ?audit:bool ->
     ?max_rounds:int ->
     ?max_words:int ->
     metrics:Metrics.t ->

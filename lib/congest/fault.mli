@@ -253,11 +253,11 @@ val severed : t -> src:int -> dst:int -> bool
     order, which differs from the synchronous send order), they leave
     {!plan}'s stream untouched (a synchronous run of the same profile is
     byte-identical with or without timing dimensions), and they replay
-    from the seed alone. Only {!Async_engine}/{!Synchronizer} consult
-    them; the synchronous engine enforces lockstep by fiat. *)
+    from the seed alone. Only {!Async_engine} and the engine's pulse
+    loop consult them; the lockstep loop enforces lockstep by fiat. *)
 
 (** [timing_active t] — does the profile have any timing dimension
-    (stragglers, link latency, or clock skew)? {!Synchronizer} routes
+    (stragglers, link latency, or clock skew)? {!Engine.Make.run} routes
     such runs through the asynchronous executor. *)
 val timing_active : t -> bool
 

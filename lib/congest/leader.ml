@@ -2,13 +2,15 @@ module Digraph = Repro_graph.Digraph
 
 type state = { best : int; pending : bool }
 
+exception Disagreement of { node : int; value : int; leader : int }
+
 module Word = struct
   type t = int
 
   let words _ = 1
 end
 
-module E = Synchronizer.Make (Word)
+module E = Engine.Make (Word)
 module T = Transport.Make (Word)
 
 let elect ?faults ?(reliable = false) skeleton ~metrics =
@@ -31,6 +33,20 @@ let elect ?faults ?(reliable = false) skeleton ~metrics =
     if reliable then T.run skeleton ?faults ~init ~step ~active ~metrics ~label:"leader" ()
     else E.run skeleton ?faults ~init ~step ~active ~metrics ~label:"leader" ()
   in
-  let leader = states.(0).best in
-  Array.iter (fun st -> assert (st.best = leader)) states;
-  leader
+  (* a crash-stopped (or forever-stalled) node never learns the leader,
+     so agreement is checked among the surviving nodes only *)
+  let survives v =
+    match faults with
+    | None -> true
+    | Some f -> not (Fault.eventually_down f v || Fault.eventually_stalled f v)
+  in
+  let leader = ref None in
+  Array.iteri
+    (fun v st ->
+      if survives v then
+        match !leader with
+        | None -> leader := Some st.best
+        | Some l ->
+            if st.best <> l then raise (Disagreement { node = v; value = st.best; leader = l }))
+    states;
+  match !leader with Some l -> l | None -> invalid_arg "Leader.elect: no node survives"

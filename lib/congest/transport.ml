@@ -37,7 +37,7 @@ module Make (M : Engine.MSG) = struct
     let intact p = checksum p = p.crc
   end
 
-  module E = Synchronizer.Make (Packet)
+  module E = Engine.Make (Packet)
 
   type link = {
     mutable next_seq : int;
@@ -179,18 +179,10 @@ module Make (M : Engine.MSG) = struct
       let queued_to = Hashtbl.create 4 in
       List.iter
         (fun (u, m) ->
-          (match Hashtbl.find_opt st.links u with
-          | None ->
-              invalid_arg
-                (Printf.sprintf "Transport.run(%s): round %d: node %d sent to non-neighbor %d"
-                   label round v u)
-          | Some l -> if not l.dead then Queue.add m l.sendq);
-          if Hashtbl.mem queued_to u then
-            invalid_arg
-              (Printf.sprintf
-                 "Transport.run(%s): round %d: node %d sent two messages to %d in one round"
-                 label round v u);
-          Hashtbl.add queued_to u ())
+          Engine.check_send ~runner:"Transport.run" ~label ~round ~node:v ~neighbors:st.links
+            ~sent_to:queued_to u;
+          let l = Hashtbl.find st.links u in
+          if not l.dead then Queue.add m l.sendq)
         user_out;
       (* 3. per link, in ascending neighbor order: retransmit if the
          timeout expired, else launch the next queued message; piggyback

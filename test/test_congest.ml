@@ -11,12 +11,26 @@ module Bellman_ford = Repro_congest.Bellman_ford
 module Apsp = Repro_congest.Apsp
 module Fault = Repro_congest.Fault
 module Transport = Repro_congest.Transport
+module Async_engine = Repro_congest.Async_engine
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* every engine run in this suite is audited: accounting drift raises *)
 let () = Engine.audit_enabled := true
+
+(* run [f] on the lockstep loop, or on the asynchronous pulse loop
+   (forced, as --async does): the engine's contract holds on both *)
+let on_executor ~async f =
+  Async_engine.forced := async;
+  Fun.protect ~finally:(fun () -> Async_engine.forced := false) f
+
+(* one test case per executor; the lockstep case keeps the bare name *)
+let both_executors name f =
+  [
+    Alcotest.test_case name `Quick (fun () -> on_executor ~async:false f);
+    Alcotest.test_case (name ^ " (async)") `Quick (fun () -> on_executor ~async:true f);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
@@ -241,7 +255,7 @@ let test_audit_catches_unstable_words () =
             ~init:(fun v -> v = 0)
             ~step:(fun ~round:_ ~node st _ ->
               if node = 0 && st then (false, [ (1, ()) ]) else (false, []))
-            ~active:Fun.id ~audit:true ~metrics:m ~label:"t" ());
+            ~active:Fun.id ~metrics:m ~label:"t" ());
        false
      with Engine.Audit_violation { round = 0; _ } -> true)
 
@@ -268,7 +282,7 @@ let test_audit_catches_inflight_mutation () =
             ~step:(fun ~round ~node st _ ->
               if node = 0 && round > 0 then cell := 3;
               if node = 0 && st then (false, [ (1, cell) ]) else (false, []))
-            ~active:Fun.id ~faults ~audit:true ~max_rounds:50 ~metrics:m ~label:"t" ());
+            ~active:Fun.id ~faults ~max_rounds:50 ~metrics:m ~label:"t" ());
        false
      with Engine.Audit_violation _ -> true)
 
@@ -285,22 +299,25 @@ let test_audit_catches_metrics_drift () =
             ~step:(fun ~round:_ ~node st _ ->
               if node = 0 && st then Metrics.add_messages m 5;
               if node = 0 && st then (false, [ (1, 1) ]) else (false, []))
-            ~active:Fun.id ~audit:true ~metrics:m ~label:"t" ());
+            ~active:Fun.id ~metrics:m ~label:"t" ());
        false
      with Engine.Audit_violation { round = 0; _ } -> true)
 
 let test_audit_off_permits_drift () =
-  (* the same drift with ~audit:false (overriding the suite-wide default)
-     must pass: auditing is opt-out-able for production runs *)
+  (* the same drift with auditing switched off (overriding the
+     suite-wide default) must pass: auditing is opt-out-able for
+     production runs *)
   let sk = Generators.path 2 in
   let m = Metrics.create () in
-  ignore
-    (E.run sk
-       ~init:(fun v -> v = 0)
-       ~step:(fun ~round:_ ~node st _ ->
-         if node = 0 && st then Metrics.add_messages m 5;
-         if node = 0 && st then (false, [ (1, 1) ]) else (false, []))
-       ~active:Fun.id ~audit:false ~metrics:m ~label:"t" ());
+  Engine.audit_enabled := false;
+  Fun.protect ~finally:(fun () -> Engine.audit_enabled := true) (fun () ->
+      ignore
+        (E.run sk
+           ~init:(fun v -> v = 0)
+           ~step:(fun ~round:_ ~node st _ ->
+             if node = 0 && st then Metrics.add_messages m 5;
+             if node = 0 && st then (false, [ (1, 1) ]) else (false, []))
+           ~active:Fun.id ~metrics:m ~label:"t" ()));
   check_int "extra charge kept" 6 (Metrics.messages m)
 
 let test_audit_clean_under_faults () =
@@ -887,6 +904,39 @@ let test_leader_is_min_id () =
   let m = Metrics.create () in
   check_int "leader" 0 (Leader.elect g ~metrics:m)
 
+let test_leader_lossy_raises_disagreement () =
+  (* unreliable flooding over lossy links leaves some nodes behind: the
+     election reports the disagreement as a typed error naming a
+     dissenting node, never as an assertion failure *)
+  let g = Generators.grid 6 6 in
+  let disagreements = ref 0 in
+  for seed = 0 to 20 do
+    let m = Metrics.create () in
+    match
+      Leader.elect ~faults:(Fault.create ~seed (Fault.profile ~drop:0.5 ())) g ~metrics:m
+    with
+    | leader -> check_int "agreed leader" 0 leader
+    | exception Leader.Disagreement { node; value; leader } ->
+        incr disagreements;
+        check_bool "dissenter is a node" true (node > 0 && node < Digraph.n g);
+        check_bool "values differ" true (value <> leader)
+  done;
+  check_bool "some seed disagrees" true (!disagreements > 0)
+
+let test_leader_survives_crash_stop () =
+  (* a node crash-stopped from round 0 never floods nor learns: the
+     surviving nodes still agree, on the minimum surviving id *)
+  let g = Generators.grid 6 6 in
+  List.iter
+    (fun (dead, want) ->
+      let m = Metrics.create () in
+      let faults = Fault.create ~seed:3 (Fault.profile ~crashes:[ Fault.crash dead ~from:0 ] ()) in
+      check_int
+        (Printf.sprintf "leader with node %d down" dead)
+        want
+        (Leader.elect ~faults ~reliable:true g ~metrics:m))
+    [ (7, 0); (0, 1) ]
+
 (* ------------------------------------------------------------------ *)
 (* Bellman-Ford *)
 
@@ -1368,20 +1418,20 @@ let () =
           Alcotest.test_case "recovery counters" `Quick test_metrics_recovery_counters;
         ] );
       ( "engine",
-        [
-          Alcotest.test_case "bandwidth" `Quick test_engine_enforces_bandwidth;
-          Alcotest.test_case "non neighbor" `Quick test_engine_rejects_non_neighbor;
+        both_executors "bandwidth" test_engine_enforces_bandwidth
+        @ both_executors "non neighbor" test_engine_rejects_non_neighbor
+        @ both_executors "round limit payload" test_engine_round_limit_payload
+        @ both_executors "inbox sorted by sender" test_engine_inbox_sorted_by_sender
+        @ both_executors "oversize diagnostics" test_engine_oversize_diagnostics
+        @ [
           Alcotest.test_case "round counting" `Quick test_engine_counts_rounds;
-          Alcotest.test_case "round limit payload" `Quick test_engine_round_limit_payload;
-          Alcotest.test_case "inbox sorted by sender" `Quick test_engine_inbox_sorted_by_sender;
-          Alcotest.test_case "oversize diagnostics" `Quick test_engine_oversize_diagnostics;
           Alcotest.test_case "words and delivered" `Quick test_engine_counts_words_and_delivered;
         ] );
       ( "audit",
-        [
-          Alcotest.test_case "unstable words" `Quick test_audit_catches_unstable_words;
-          Alcotest.test_case "in-flight mutation" `Quick test_audit_catches_inflight_mutation;
-          Alcotest.test_case "metrics drift" `Quick test_audit_catches_metrics_drift;
+        both_executors "unstable words" test_audit_catches_unstable_words
+        @ both_executors "in-flight mutation" test_audit_catches_inflight_mutation
+        @ both_executors "metrics drift" test_audit_catches_metrics_drift
+        @ [
           Alcotest.test_case "audit off permits drift" `Quick test_audit_off_permits_drift;
           Alcotest.test_case "clean under faults" `Quick test_audit_clean_under_faults;
         ] );
@@ -1452,7 +1502,13 @@ let () =
           Alcotest.test_case "convergecast singleton" `Quick test_convergecast_single_node;
           Alcotest.test_case "stream pipelines" `Quick test_stream_down_pipelines;
         ] );
-      ("leader", [ Alcotest.test_case "min id" `Quick test_leader_is_min_id ]);
+      ( "leader",
+        [
+          Alcotest.test_case "min id" `Quick test_leader_is_min_id;
+          Alcotest.test_case "lossy disagreement is typed" `Quick
+            test_leader_lossy_raises_disagreement;
+          Alcotest.test_case "crash-stop survivors agree" `Quick test_leader_survives_crash_stop;
+        ] );
       ( "bellman-ford",
         [
           Alcotest.test_case "directed" `Quick test_bellman_ford_exact;

@@ -52,7 +52,11 @@ let test_engine_rejects_oversized_message () =
        false
      with Invalid_argument _ -> true)
 
-let test_engine_max_rounds_guard () =
+(* the round budget binds on both executors: the lockstep loop and the
+   asynchronous pulse loop (forced, as --async does) *)
+let test_engine_max_rounds_guard ~async () =
+  Repro_congest.Async_engine.forced := async;
+  Fun.protect ~finally:(fun () -> Repro_congest.Async_engine.forced := false) @@ fun () ->
   let sk = Generators.path 2 in
   let m = Metrics.create () in
   check_bool "livelock detected" true
@@ -239,7 +243,8 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "oversize message" `Quick test_engine_rejects_oversized_message;
-          Alcotest.test_case "max rounds" `Quick test_engine_max_rounds_guard;
+          Alcotest.test_case "max rounds" `Quick (test_engine_max_rounds_guard ~async:false);
+          Alcotest.test_case "max rounds (async)" `Quick (test_engine_max_rounds_guard ~async:true);
           Alcotest.test_case "idle costs nothing" `Quick test_engine_idle_algorithm_costs_nothing;
         ] );
       ( "multigraphs",
