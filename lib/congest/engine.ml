@@ -28,6 +28,7 @@ let () =
           (Printf.sprintf "Engine.Audit_violation(%s): round %d: %s" label round detail)
     | _ -> None)
 
+(* the per-round send contract, shared with the transport's user queue *)
 let check_send ~runner ~label ~round ~node ~neighbors ~sent_to u =
   if not (Hashtbl.mem neighbors u) then
     invalid_arg
@@ -67,9 +68,9 @@ module Make (M : MSG) = struct
        loop's. Timing draws are pure hashes (Fault), so consulting them
        in event order costs no stream position.
 
-     The lockstep loop stays separate because dispatch-then-commit would
-     interleave the trace events a step emits (Transport's do)
-     differently. The pulse loop's extras (arrival timestamps and SAFE
+     The lockstep loop stays separate: dispatch-then-commit would move
+     the trace events a step emits (the transport's Ack/Retransmit)
+     relative to the sends of earlier nodes. The pulse loop's extras (arrival timestamps and SAFE
      points, the Straggler cut drop, the unbounded-stall receiver check)
      are guarded by [async]; a stall window makes a profile timing-active,
      so none of them can fire on the lockstep loop. *)

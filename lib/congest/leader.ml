@@ -33,7 +33,7 @@ let elect ?faults ?(reliable = false) skeleton ~metrics =
     if reliable then T.run skeleton ?faults ~init ~step ~active ~metrics ~label:"leader" ()
     else E.run skeleton ?faults ~init ~step ~active ~metrics ~label:"leader" ()
   in
-  (* a crash-stopped (or forever-stalled) node never learns the leader,
+  (* a crash-stopped (or forever-stalled) node may never learn the leader,
      so agreement is checked among the surviving nodes only *)
   let survives v =
     match faults with

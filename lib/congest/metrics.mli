@@ -86,8 +86,8 @@ val add_resync_rounds : t -> int -> unit
 (** [add_pulses t k] records [k] synchronizer pulses begun (one per live
     node per logical round under the asynchronous executor). Pulses are
     control overhead: they are charged separately from [rounds] so the
-    user-level cost of a run is identical between the synchronous engine
-    and the synchronizer. *)
+    user-level cost of a run is identical between the engine's lockstep
+    loop and its pulse loop. *)
 val add_pulses : t -> int -> unit
 
 (** [add_safe_messages t k] records [k] SAFE notifications fanned out by
