@@ -681,5 +681,4 @@ module Make (M : MSG) = struct
       Metrics.add metrics ~label 1
     done;
     states
-  [@@charge_site]
 end

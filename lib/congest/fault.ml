@@ -159,25 +159,35 @@ let plan t ~round ~src ~dst =
             { extra; corrupt })
       end
 
+(* [exists hit l ~round v] is [List.exists] without the closure: [hit]
+   is a closed top-level function, so the per-round predicates below,
+   which the engine asks for every node every round and again for every
+   delivery, allocate nothing (this build has no flambda to remove a
+   closure capturing [round] and [v]) *)
+let rec exists hit l ~round v =
+  match l with [] -> false | x :: rest -> hit x ~round v || exists hit rest ~round v
+
 let in_window (c : crash) ~round =
   round >= c.from_round
   && (match c.until_round with None -> true | Some u -> round < u)
 
-let crashed t ~round v = List.exists (fun c -> c.node = v && in_window c ~round) t.p.crashes
+let down_hit (c : crash) ~round v = c.node = v && in_window c ~round
+let crashed t ~round v = exists down_hit t.p.crashes ~round v
 
-let crash_stopped t ~round v =
-  List.exists
-    (fun c -> c.node = v && c.until_round = None && round >= c.from_round)
-    t.p.crashes
+let stopped_hit (c : crash) ~round v =
+  c.node = v && c.until_round = None && round >= c.from_round
+
+let crash_stopped t ~round v = exists stopped_hit t.p.crashes ~round v
 
 let eventually_down t v =
   List.exists (fun c -> c.node = v && c.until_round = None) t.p.crashes
 
+let restart_hit (c : crash) ~round v =
+  c.node = v && c.mode = Amnesia
+  && match c.until_round with Some u -> u = round | None -> false
+
 let restarted t ~round v =
-  (not (crashed t ~round v))
-  && List.exists
-       (fun c -> c.node = v && c.mode = Amnesia && c.until_round = Some round)
-       t.p.crashes
+  (not (crashed t ~round v)) && exists restart_hit t.p.crashes ~round v
 
 (* the window is "in progress" through the restart round itself ([<= u]):
    the restart is applied at round [u], so the run must still be alive
@@ -192,19 +202,29 @@ let amnesia_in_progress t ~round =
 
 (* --------------------------------------------------------- partitions *)
 
+let rec links_cover es ~src ~dst =
+  match es with
+  | [] -> false
+  | (a, b) :: rest ->
+      (a = src && b = dst) || (a = dst && b = src) || links_cover rest ~src ~dst
+
 let cut_covers cut ~src ~dst =
   match cut with
-  | Links es -> List.exists (fun (a, b) -> (a = src && b = dst) || (a = dst && b = src)) es
+  | Links es -> links_cover es ~src ~dst
   | Around vs -> List.mem src vs || List.mem dst vs
 
 let partition_active p ~round =
   round >= p.from_round
   && (match p.heal_round with None -> true | Some h -> round < h)
 
-let link_down t ~round ~src ~dst =
-  List.exists
-    (fun p -> partition_active p ~round && cut_covers p.cut ~src ~dst)
-    t.p.partitions
+let rec link_down_in ps ~round ~src ~dst =
+  match ps with
+  | [] -> false
+  | p :: rest ->
+      (partition_active p ~round && cut_covers p.cut ~src ~dst)
+      || link_down_in rest ~round ~src ~dst
+
+let link_down t ~round ~src ~dst = link_down_in t.p.partitions ~round ~src ~dst
 
 let severed t ~src ~dst =
   List.exists
@@ -225,20 +245,21 @@ let timing_active t =
 let in_straggle_window (s : straggle) ~round =
   round >= s.s_from && (match s.s_until with None -> true | Some u -> round < u)
 
-(* nominal = 1; a bounded stall is a [stall_factor]x slowdown *)
-let straggle_factor t ~round v =
-  match
-    List.find_opt (fun s -> s.s_node = v && in_straggle_window s ~round) t.p.stragglers
-  with
-  | None -> 1
-  | Some { factor = 0; s_until = Some _; _ } -> stall_factor
-  | Some { factor = 0; s_until = None; _ } -> 0
-  | Some s -> s.factor
+(* nominal = 1; a bounded stall is a [stall_factor]x slowdown; the
+   first straggle window covering [v] at [round] decides *)
+let rec factor_in (ss : straggle list) ~round v =
+  match ss with
+  | [] -> 1
+  | s :: _ when s.s_node = v && in_straggle_window s ~round -> (
+      match (s.factor, s.s_until) with 0, Some _ -> stall_factor | f, _ -> f)
+  | _ :: rest -> factor_in rest ~round v
 
-let stalled_forever t ~round v =
-  List.exists
-    (fun s -> s.s_node = v && s.factor = 0 && s.s_until = None && round >= s.s_from)
-    t.p.stragglers
+let straggle_factor t ~round v = factor_in t.p.stragglers ~round v
+
+let stall_hit (s : straggle) ~round v =
+  s.s_node = v && s.factor = 0 && s.s_until = None && round >= s.s_from
+
+let stalled_forever t ~round v = exists stall_hit t.p.stragglers ~round v
 
 let eventually_stalled t v =
   List.exists (fun s -> s.s_node = v && s.factor = 0 && s.s_until = None) t.p.stragglers
@@ -253,7 +274,23 @@ let latency t ~round ~src ~dst ~leg =
 (* ------------------------------------------------- CLI spec grammar *)
 (* The --crash/--partition specs live here (not in bin/) so the parser
    and printer stay one inverse pair under test: [parse_* s] followed by
-   [pp_*] yields a canonical spec that parses back to the same value. *)
+   [pp_*] yields a canonical spec that parses back to the same value.
+   The three parsers share one error vocabulary: a bad field is named
+   by position, role and text, followed by the spec's grammar. *)
+
+let ( let* ) = Result.bind
+
+let field_error grammar field what got why =
+  Error (Printf.sprintf "field %d (%s) %S %s; expected %s" field what got why grammar)
+
+let int_field grammar field what v =
+  match int_of_string_opt (String.trim v) with
+  | Some i -> Ok i
+  | None -> field_error grammar field what v "is not an integer"
+
+let arity_error grammar want parts =
+  Error
+    (Printf.sprintf "%d field(s), want %s; expected %s" (List.length parts) want grammar)
 
 let pp_crash fmt (c : crash) =
   Format.fprintf fmt "%d:%d" c.node c.from_round;
@@ -265,16 +302,7 @@ let pp_crash fmt (c : crash) =
 let crash_grammar = "NODE:FROM[:UNTIL[:MODE]] with MODE in {freeze, amnesia}"
 
 let parse_crash s =
-  let err field what got why =
-    Error
-      (Printf.sprintf "field %d (%s) %S %s; expected %s" field what got why crash_grammar)
-  in
-  let int_field idx name v =
-    match int_of_string_opt (String.trim v) with
-    | Some i -> Ok i
-    | None -> err idx name v "is not an integer"
-  in
-  let ( let* ) = Result.bind in
+  let int_field = int_field crash_grammar in
   match String.split_on_char ':' s with
   | [ node; from ] ->
       let* node = int_field 1 "NODE" node in
@@ -293,13 +321,10 @@ let parse_crash s =
         match String.trim mode with
         | "freeze" -> Ok Freeze
         | "amnesia" -> Ok Amnesia
-        | m -> err 4 "MODE" m "is not a crash mode"
+        | m -> field_error crash_grammar 4 "MODE" m "is not a crash mode"
       in
       Ok (crash node ~from ~until ~mode)
-  | parts ->
-      Error
-        (Printf.sprintf "%d field(s), want 2-4; expected %s" (List.length parts)
-           crash_grammar)
+  | parts -> arity_error crash_grammar "2-4" parts
 
 let pp_partition fmt (p : partition) =
   (match p.cut with
@@ -316,17 +341,8 @@ let partition_grammar =
   "CUT:FROM[:HEAL] with CUT either links u-v[,u-v...] or a vertex cut @n[,n...]"
 
 let parse_partition s =
-  let err field what got why =
-    Error
-      (Printf.sprintf "field %d (%s) %S %s; expected %s" field what got why
-         partition_grammar)
-  in
-  let int_field idx name v =
-    match int_of_string_opt (String.trim v) with
-    | Some i -> Ok i
-    | None -> err idx name v "is not an integer"
-  in
-  let ( let* ) = Result.bind in
+  let int_field = int_field partition_grammar in
+  let err = field_error partition_grammar in
   let parse_cut cutspec =
     let cutspec = String.trim cutspec in
     if cutspec = "" then err 1 "CUT" cutspec "is empty"
@@ -367,10 +383,7 @@ let parse_partition s =
       let* from = int_field 2 "FROM" from in
       let* heal = int_field 3 "HEAL" heal in
       Ok (partition ~from ~heal cut)
-  | parts ->
-      Error
-        (Printf.sprintf "%d field(s), want 2-3; expected %s" (List.length parts)
-           partition_grammar)
+  | parts -> arity_error partition_grammar "2-3" parts
 
 let pp_straggle fmt (s : straggle) =
   Format.fprintf fmt "%d:%d" s.s_node s.s_from;
@@ -385,23 +398,13 @@ let straggle_grammar =
    = forever)"
 
 let parse_straggle s =
-  let err field what got why =
-    Error
-      (Printf.sprintf "field %d (%s) %S %s; expected %s" field what got why
-         straggle_grammar)
-  in
-  let int_field idx name v =
-    match int_of_string_opt (String.trim v) with
-    | Some i -> Ok i
-    | None -> err idx name v "is not an integer"
-  in
+  let int_field = int_field straggle_grammar in
   let until_field v =
     (* an empty UNTIL keeps the window open forever (so a permanent
        slowdown is expressible as NODE:FROM::FACTOR) *)
     if String.trim v = "" then Ok None
     else Result.map Option.some (int_field 3 "UNTIL" v)
   in
-  let ( let* ) = Result.bind in
   match String.split_on_char ':' s with
   | [ node; from ] ->
       let* node = int_field 1 "NODE" node in
@@ -418,15 +421,12 @@ let parse_straggle s =
       let* until = until_field until in
       let* factor = int_field 4 "FACTOR" factor in
       Ok (straggle node ~from ?until ~factor)
-  | parts ->
-      Error
-        (Printf.sprintf "%d field(s), want 2-4; expected %s" (List.length parts)
-           straggle_grammar)
+  | parts -> arity_error straggle_grammar "2-4" parts
 
 let pp fmt t =
   let amnesia = List.length (List.filter (fun c -> c.mode = Amnesia) t.p.crashes) in
   let timing fmt () =
-    if t.p.stragglers <> [] || t.p.link_latency > 0 || t.p.skew > 0 then
+    if timing_active t then
       Format.fprintf fmt " stragglers=%d latency<=%d skew<=%d"
         (List.length t.p.stragglers)
         t.p.link_latency t.p.skew

@@ -140,5 +140,4 @@ module Make (P : RECOVERABLE) = struct
         ~on_restart:wrap_restart ?rto ?max_rounds ?max_words ~metrics ~label ()
     in
     Array.map (fun st -> st.user) states
-  [@@charge_site]
 end

@@ -567,6 +567,36 @@ let test_metrics_recovery_counters () =
   check_int "merged recoveries" 3 (Metrics.recoveries m);
   check_int "merged resync rounds" 12 (Metrics.resync_rounds m)
 
+(* the engine asks these for every node every round and again for every
+   delivery, so under any fault profile they must not allocate *)
+let test_fault_predicates_do_not_allocate () =
+  let f =
+    Fault.create
+      (Fault.profile
+         ~crashes:[ Fault.crash ~from:5 ~until:50 ~mode:Fault.Amnesia 3 ]
+         ~partitions:[ Fault.partition ~from:2 ~heal:40 (Fault.Links [ (1, 2) ]) ]
+         ~stragglers:[ Fault.straggle ~from:3 ~until:30 ~factor:4 2 ]
+         ())
+  in
+  let zero_alloc name query =
+    query 0;
+    let before = Gc.minor_words () in
+    for i = 1 to 10_000 do
+      query i
+    done;
+    check_int (name ^ " minor words") 0 (int_of_float (Gc.minor_words () -. before))
+  in
+  zero_alloc "crashed" (fun i -> ignore (Fault.crashed f ~round:(i mod 64) (i land 7)));
+  zero_alloc "crash_stopped" (fun i ->
+      ignore (Fault.crash_stopped f ~round:(i mod 64) (i land 7)));
+  zero_alloc "restarted" (fun i -> ignore (Fault.restarted f ~round:(i mod 64) (i land 7)));
+  zero_alloc "link_down" (fun i ->
+      ignore (Fault.link_down f ~round:(i mod 64) ~src:(i land 3) ~dst:((i + 1) land 3)));
+  zero_alloc "stalled_forever" (fun i ->
+      ignore (Fault.stalled_forever f ~round:(i mod 64) (i land 7)));
+  zero_alloc "straggle_factor" (fun i ->
+      ignore (Fault.straggle_factor f ~round:(i mod 64) (i land 7)))
+
 let test_fault_amnesia_requires_restart () =
   check_bool "amnesia crash-stop rejected" true
     (try
@@ -1443,6 +1473,8 @@ let () =
           Alcotest.test_case "crash-stop liveness" `Quick test_fault_crash_stop_cannot_livelock;
           Alcotest.test_case "crash partitions" `Quick test_fault_crash_partitions_raw_bfs;
           Alcotest.test_case "amnesia validation" `Quick test_fault_amnesia_requires_restart;
+          Alcotest.test_case "predicates allocate nothing" `Quick
+            test_fault_predicates_do_not_allocate;
           Alcotest.test_case "amnesia reinit" `Quick test_engine_amnesia_reinits_state;
           Alcotest.test_case "amnesia liveness" `Quick test_engine_amnesia_outage_keeps_run_alive;
         ] );

@@ -412,104 +412,48 @@ let test_alloc_fixture_corpus () =
   check_bool "hot_alloc_ok clean" false (hot_alloc "hot_alloc_ok")
 
 (* ------------------------------------------------------------------ *)
-(* Bandwidth-soundness pass: verdicts and charge-site certification *)
+(* Bandwidth-soundness rule: one row per message-size shape *)
 
-let parsed_of sources =
-  List.map
+let bandwidth_findings sources =
+  List.concat_map
     (fun (file, src) ->
       match Lint.parse_source ~file src with
-      | Ok s -> (file, s)
+      | Ok structure -> Bandwidth.findings ~file structure
       | Error msg -> Alcotest.failf "fixture %s did not parse: %s" file msg)
     sources
 
-let bandwidth_report sources =
-  let parsed = parsed_of sources in
-  Bandwidth.analyze (Cg.build parsed) parsed
+let wrapper charge =
+  [
+    ( "fx/wrap.ml",
+      "module Wrap (M : sig type t val words : t -> int end) = struct\n\
+      \  module X = struct\n\
+      \    type t = Data of M.t | Beat\n\
+      \    let words = function Beat -> 1 | Data m -> " ^ charge ^ "\n\
+      \  end\n\
+       end" );
+  ]
 
-let test_bandwidth_verdicts () =
-  let r =
-    bandwidth_report
-      [ ("fx/algo.ml", "module Msg = struct type t = int * int let words _ = 2 end") ]
+let test_bandwidth_rows () =
+  let msg charge =
+    [ ("fx/algo.ml", "module Msg = struct type t = int * int let words _ = " ^ charge ^ " end") ]
   in
-  (match r.Bandwidth.b_verdicts with
-  | [ v ] ->
-      Alcotest.(check string) "name" "Algo.Msg" v.Bandwidth.v_name;
-      Alcotest.(check string) "kind" "algorithm" v.Bandwidth.v_kind;
-      Alcotest.(check string) "content" "2" v.Bandwidth.v_content;
-      check_bool "passes" true v.Bandwidth.v_ok
-  | vs -> Alcotest.failf "expected one verdict, got %d" (List.length vs));
-  check_bool "all pass" true r.Bandwidth.b_all_pass
-
-let test_bandwidth_undercharge () =
-  let fs =
-    Bandwidth.findings_of_report
-      (bandwidth_report
-         [ ("fx/algo.ml", "module Msg = struct type t = int * int let words _ = 1 end") ])
-  in
-  check_bool "undercharge flagged" true (has_finding "bandwidth-sound" "may undercharge" fs)
-
-let test_bandwidth_wrapper () =
-  let r =
-    bandwidth_report
-      [
-        ( "fx/wrap.ml",
-          "module Wrap (M : sig type t val words : t -> int end) = struct\n\
-          \  module X = struct\n\
-          \    type t = Data of M.t | Beat\n\
-          \    let words = function Beat -> 1 | Data m -> 1 + M.words m\n\
-          \  end\n\
-           end" );
-      ]
-  in
-  match r.Bandwidth.b_verdicts with
-  | [ v ] ->
-      Alcotest.(check string) "kind" "wrapper" v.Bandwidth.v_kind;
-      Alcotest.(check string) "content" "payload" v.Bandwidth.v_content;
-      check_bool "wrapper passes" true v.Bandwidth.v_ok
-  | vs -> Alcotest.failf "expected one verdict, got %d" (List.length vs)
-
-let test_bandwidth_charge_site () =
-  (* the rule is scoped to lib/: per-message accounting lives there *)
-  let bad =
-    Bandwidth.findings_of_report
-      (bandwidth_report
-         [ ("lib/fx/charge.ml", "let run m snap = Metrics.add_words m (Array.length snap)") ])
-  in
-  check_bool "unannotated charge flagged" true
-    (has_finding "bandwidth-charge" "not annotated [@@charge_site]" bad);
-  let ok =
-    bandwidth_report
-      [
-        ( "lib/fx/charge.ml",
-          "let run m snap = Metrics.add_words m (Array.length snap) [@@charge_site]" );
-      ]
-  in
-  check_int "annotated charge clean" 0 (List.length ok.Bandwidth.b_findings);
-  check_int "site certified" 1 ok.Bandwidth.b_charge_sites
-
-let test_bandwidth_json_report () =
-  let json =
-    Bandwidth.to_json
-      (bandwidth_report
-         [ ("fx/algo.ml", "module Msg = struct type t = int let words _ = 1 end") ])
-  in
-  let contains needle =
-    let n = String.length needle in
-    let rec at i = i + n <= String.length json && (String.sub json i n = needle || at (i + 1)) in
-    at 0
-  in
-  check_bool "schema stamped" true (contains "repro-lint/bandwidth/1");
-  check_bool "gate rendered" true (contains "\"all_pass\": true");
-  check_bool "verdict present" true (contains "Algo.Msg")
-
-let test_bandwidth_fixture_corpus () =
-  let rules_in name =
-    List.map
-      (fun (f : Lint.finding) -> f.Lint.rule)
-      (Bandwidth.findings_of_report (bandwidth_report (fixture_dir name)))
-  in
-  check_bool "bandwidth_bad flagged" true (List.mem "bandwidth-sound" (rules_in "bandwidth_bad"));
-  check_int "bandwidth_ok clean" 0 (List.length (rules_in "bandwidth_ok"))
+  List.iter
+    (fun (row, sources, expect) ->
+      let fs = bandwidth_findings sources in
+      match expect with
+      | None -> check_int (row ^ " clean") 0 (List.length fs)
+      | Some substring ->
+          check_bool (row ^ " flagged") true (has_finding "bandwidth-sound" substring fs))
+    [
+      ("2-word message charged 1", msg "1", Some "`Algo.Msg` may undercharge");
+      ("2-word message charged 2", msg "2", None);
+      ("one-payload wrapper", wrapper "1 + M.words m", None);
+      ( "two-payload wrapper",
+        wrapper "1 + M.words m + M.words m",
+        Some "`Wrap.Wrap.X` charges 2 payloads" );
+      ("bandwidth_bad fixture", fixture_dir "bandwidth_bad", Some "may undercharge");
+      ("bandwidth_ok fixture", fixture_dir "bandwidth_ok", None);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Baseline workflow *)
@@ -698,11 +642,6 @@ let () =
         ] );
       ( "bandwidth",
         [
-          Alcotest.test_case "verdicts" `Quick test_bandwidth_verdicts;
-          Alcotest.test_case "undercharge" `Quick test_bandwidth_undercharge;
-          Alcotest.test_case "wrapper" `Quick test_bandwidth_wrapper;
-          Alcotest.test_case "charge site" `Quick test_bandwidth_charge_site;
-          Alcotest.test_case "json report" `Quick test_bandwidth_json_report;
-          Alcotest.test_case "fixture corpus" `Quick test_bandwidth_fixture_corpus;
+          Alcotest.test_case "undercharge" `Quick test_bandwidth_rows;
         ] );
     ]

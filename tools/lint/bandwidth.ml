@@ -1,54 +1,21 @@
-(* Bandwidth-soundness pass (DESIGN.md §3i).
+(* Bandwidth-soundness rule (DESIGN.md §3i), run per file beside the
+   single-file rules. A message module's content gets an upper bound
+   [c + p*payload] from the field types of its [type t]: [int] is one
+   word, [bool]/[unit]/[char] ride in the header, tuples and records
+   sum, variants take the max over constructors (the tag is O(1) bits),
+   and a foreign [.t] is one opaque payload. The [words] body's maximum
+   charge is computed in the same form. Whether the engines charge what
+   [words] returns is held at run time by the engine auditor. Purely
+   syntactic: types are matched by name, so a type alias hiding an
+   unbounded payload behind [int] is invisible. *)
 
-   The CONGEST reproduction charges every delivered message through
-   [M.words] and caps it against [max_words] at runtime; this pass makes
-   the accounting *statically* honest. Two halves:
-
-   - Message-size verdicts. Every message module (a submodule or an
-     anonymous functor-argument structure declaring both [type t] and
-     [let words]) gets a static upper bound on its encoded size derived
-     from the constructor/field types of [t] — [int] is one word,
-     [bool]/[unit]/[char] ride in the header, tuples and records sum,
-     variants take the max over constructors (tags are O(1) bits and
-     ride free, matching the runtime convention), and a foreign [.t]
-     counts as one opaque payload. The [words] body is abstractly
-     evaluated to an interval of linear forms [c + p*payload]; if its
-     maximum is below the content bound in either component, the module
-     may undercharge and the build fails ([bandwidth-sound]). Algorithm
-     messages (no payload component) additionally get an explicit
-     "fits O(log n) bits per word, O(1) words" verdict;
-     transport/recovery/detector wrappers must add only O(1) header
-     words to a single payload.
-
-   - Charging-site certification. Every binding that calls
-     [Metrics.add_words] / [add_checkpoint_words] must carry
-     [[@@charge_site]] (the audited accounting entry points), and the
-     measure it charges must be derived from the same [words] measure
-     the verdicts bound: a local accumulator only ever reset to a
-     constant or bumped by [!acc + w] where [w] traces back to an
-     [M.words] application, a direct [M.words m], or [Array.length]
-     (checkpoint snapshots are arrays of words by contract). Anything
-     else is an inconsistent measure ([bandwidth-charge]).
-
-   Purely syntactic, like the rest of the lint: types are matched by
-   name, so a type alias hiding an unbounded payload behind [int] is
-   invisible (caveats in DESIGN.md §3i). *)
-
-module Cg = Callgraph
 module P = Parsetree
-
-(* ------------------------------------------------------------------ *)
-(* Linear word bounds: [c + p * payload] *)
 
 type lin = { c : int; p : int }
 
-type chg = { bmin : lin; bmax : lin }
-
+let zero = { c = 0; p = 0 }
 let lin_add a b = { c = a.c + b.c; p = a.p + b.p }
 let lin_max a b = { c = max a.c b.c; p = max a.p b.p }
-let lin_min a b = { c = min a.c b.c; p = min a.p b.p }
-let lin_scale k a = { c = k * a.c; p = k * a.p }
-let lin_geq a b = a.c >= b.c && a.p >= b.p
 
 let lin_str l =
   match (l.c, l.p) with
@@ -58,573 +25,160 @@ let lin_str l =
   | c, 1 -> Printf.sprintf "%d + payload" c
   | c, p -> Printf.sprintf "%d + %d*payload" c p
 
-let rec lid_flat (l : Longident.t) =
-  match l with
-  | Longident.Lident s -> [ s ]
-  | Longident.Ldot (p, s) -> lid_flat p @ [ s ]
-  | Longident.Lapply _ -> []
+(* fold a bound over a list: [None] as soon as one element has none *)
+let fold op bound l =
+  List.fold_left
+    (fun acc x -> match (acc, bound x) with Some a, Some b -> Some (op a b) | _ -> None)
+    (Some zero) l
 
-let normtext e =
-  let s = Pprintast.string_of_expression e in
-  let b = Buffer.create (String.length s) in
-  let last_space = ref false in
-  String.iter
-    (fun ch ->
-      if ch = ' ' || ch = '\n' || ch = '\t' then begin
-        if not !last_space then Buffer.add_char b ' ';
-        last_space := true
-      end
-      else begin
-        Buffer.add_char b ch;
-        last_space := false
-      end)
-    s;
-  Buffer.contents b
+let rec flat (l : Longident.t) =
+  match l with Lident s -> [ s ] | Ldot (q, s) -> flat q @ [ s ] | Lapply _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Content bound from the declaration of [type t] *)
 
-let rec type_cost (ct : P.core_type) : lin option =
-  match ct.P.ptyp_desc with
-  | P.Ptyp_constr ({ txt; _ }, args) -> (
-      let path =
-        match lid_flat txt with "Stdlib" :: rest -> rest | path -> path
-      in
-      match (path, args) with
+let rec type_cost (ct : P.core_type) =
+  match ct.ptyp_desc with
+  | Ptyp_tuple l -> fold lin_add type_cost l
+  | Ptyp_constr ({ txt; _ }, args) -> (
+      match ((match flat txt with "Stdlib" :: rest -> rest | path -> path), args) with
       | [ "int" ], [] -> Some { c = 1; p = 0 }
-      | ([ "bool" ] | [ "unit" ] | [ "char" ]), [] ->
-          (* O(1) bits: rides in the header word by the runtime convention *)
-          Some { c = 0; p = 0 }
+      | ([ "bool" ] | [ "unit" ] | [ "char" ]), [] -> Some zero
       | [ "option" ], [ a ] -> type_cost a (* bound by the Some case *)
-      | p, [] when List.length p >= 2 && List.nth p (List.length p - 1) = "t" ->
+      | path, [] when (match List.rev path with "t" :: _ :: _ -> true | _ -> false) ->
           (* a foreign message type ([M.t], [P.Msg.t]): one opaque payload *)
           Some { c = 0; p = 1 }
       | _ -> None)
-  | P.Ptyp_tuple l ->
-      List.fold_left
-        (fun acc ct ->
-          match (acc, type_cost ct) with
-          | Some a, Some b -> Some (lin_add a b)
-          | _ -> None)
-        (Some { c = 0; p = 0 })
-        l
   | _ -> None
 
-let decl_cost (d : P.type_declaration) : lin option =
-  let sum cts =
-    List.fold_left
-      (fun acc ct ->
-        match (acc, type_cost ct) with Some a, Some b -> Some (lin_add a b) | _ -> None)
-      (Some { c = 0; p = 0 })
-      cts
-  in
-  match (d.P.ptype_kind, d.P.ptype_manifest) with
-  | P.Ptype_abstract, Some m -> type_cost m
-  | P.Ptype_record labels, _ -> sum (List.map (fun l -> l.P.pld_type) labels)
-  | P.Ptype_variant constrs, _ ->
-      (* max over constructors; the tag is O(1) bits and rides free *)
-      List.fold_left
-        (fun acc (c : P.constructor_declaration) ->
-          let args =
-            match c.P.pcd_args with
-            | P.Pcstr_tuple cts -> sum cts
-            | P.Pcstr_record ls -> sum (List.map (fun l -> l.P.pld_type) ls)
-          in
-          match (acc, args) with Some a, Some b -> Some (lin_max a b) | _ -> None)
-        (Some { c = 0; p = 0 })
-        constrs
+let fields_cost ls = fold lin_add (fun (l : P.label_declaration) -> type_cost l.pld_type) ls
+
+let decl_cost (d : P.type_declaration) =
+  match (d.ptype_kind, d.ptype_manifest) with
+  | Ptype_abstract, Some m -> type_cost m
+  | Ptype_record ls, _ -> fields_cost ls
+  | Ptype_variant cs, _ ->
+      fold lin_max
+        (fun (c : P.constructor_declaration) ->
+          match c.pcd_args with
+          | Pcstr_tuple cts -> fold lin_add type_cost cts
+          | Pcstr_record ls -> fields_cost ls)
+        cs
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Charged bound from the [words] body *)
+(* Maximum charge of the [words] body *)
 
 let int_const (e : P.expression) =
-  match e.P.pexp_desc with
-  | P.Pexp_constant (P.Pconst_integer (s, None)) -> int_of_string_opt s
+  match e.pexp_desc with
+  | Pexp_constant (Pconst_integer (s, None)) -> int_of_string_opt s
   | _ -> None
 
-let is_words_head (e : P.expression) =
-  match e.P.pexp_desc with
-  | P.Pexp_ident { txt; _ } -> (
-      match List.rev (lid_flat txt) with "words" :: _ :: _ -> true | _ -> false)
-  | _ -> false
+let scale k = function
+  | Some l when k >= 0 -> Some { c = k * l.c; p = k * l.p }
+  | _ -> None
 
-let rec charge_of (e : P.expression) : chg option =
-  let point l = Some { bmin = l; bmax = l } in
-  let arms es =
-    List.fold_left
-      (fun acc a ->
-        match (acc, charge_of a) with
-        | None, _ | _, None -> None
-        | Some x, Some y ->
-            Some { bmin = lin_min x.bmin y.bmin; bmax = lin_max x.bmax y.bmax })
-      (charge_of (List.hd es))
-      (List.tl es)
-  in
-  match e.P.pexp_desc with
-  | _ when int_const e <> None -> (
-      match int_const e with
-      | Some n when n >= 0 -> point { c = n; p = 0 }
-      | _ -> None)
-  | P.Pexp_constraint (x, _) -> charge_of x
-  | P.Pexp_ifthenelse (_, t, Some el) -> arms [ t; el ]
-  | P.Pexp_ifthenelse (_, t, None) -> (
-      match charge_of t with
-      | Some x ->
-          Some { bmin = lin_min x.bmin { c = 0; p = 0 }; bmax = x.bmax }
-      | None -> None)
-  | P.Pexp_match (_, cases) | P.Pexp_function cases ->
-      arms (List.map (fun c -> c.P.pc_rhs) cases)
-  | P.Pexp_apply (head, args) when is_words_head head && args <> [] ->
-      (* [M.words m]: exactly one opaque payload *)
-      point { c = 0; p = 1 }
-  | P.Pexp_apply ({ pexp_desc = P.Pexp_ident { txt = Longident.Lident "+"; _ }; _ }, [ (_, a); (_, b) ])
-    -> (
-      match (charge_of a, charge_of b) with
-      | Some x, Some y ->
-          Some { bmin = lin_add x.bmin y.bmin; bmax = lin_add x.bmax y.bmax }
-      | _ -> None)
-  | P.Pexp_apply ({ pexp_desc = P.Pexp_ident { txt = Longident.Lident "*"; _ }; _ }, [ (_, a); (_, b) ])
-    -> (
-      let scale k x =
-        match x with
-        | Some x when k >= 0 -> Some { bmin = lin_scale k x.bmin; bmax = lin_scale k x.bmax }
-        | _ -> None
-      in
-      match (int_const a, int_const b) with
-      | Some k, _ -> scale k (charge_of b)
-      | _, Some k -> scale k (charge_of a)
+let rec charge (e : P.expression) =
+  match (int_const e, e.pexp_desc) with
+  | Some n, _ -> if n >= 0 then Some { c = n; p = 0 } else None
+  | None, Pexp_constraint (x, _) -> charge x
+  | None, Pexp_ifthenelse (_, t, Some el) -> fold lin_max charge [ t; el ]
+  | None, Pexp_ifthenelse (_, t, None) -> charge t
+  | None, (Pexp_match (_, cases) | Pexp_function cases) ->
+      fold lin_max (fun (c : P.case) -> charge c.pc_rhs) cases
+  | None, Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
+      match (flat txt, args) with
+      | [ "+" ], [ (_, a); (_, b) ] -> fold lin_add charge [ a; b ]
+      | [ "*" ], [ (_, a); (_, b) ] -> (
+          match (int_const a, int_const b) with
+          | Some k, _ -> scale k (charge b)
+          | _, Some k -> scale k (charge a)
+          | _ -> None)
+      | path, _ :: _ when (match List.rev path with "words" :: _ :: _ -> true | _ -> false)
+        ->
+          (* [M.words m]: exactly one opaque payload *)
+          Some { c = 0; p = 1 }
       | _ -> None)
   | _ -> None
 
 let rec strip_params (e : P.expression) =
-  match e.P.pexp_desc with
-  | P.Pexp_fun (_, _, _, body) -> strip_params body
-  | P.Pexp_constraint (body, _) -> strip_params body
-  | P.Pexp_newtype (_, body) -> strip_params body
+  match e.pexp_desc with
+  | Pexp_fun (_, _, _, body) | Pexp_constraint (body, _) | Pexp_newtype (_, body) ->
+      strip_params body
   | _ -> e
 
 (* ------------------------------------------------------------------ *)
-(* Candidate discovery: message modules with [type t] and [let words] *)
+(* Message modules of one file *)
 
-type candidate = {
-  cand_name : string;
-  cand_file : string;
-  cand_line : int;
-  cand_decl : P.type_declaration;
-  cand_words : P.expression;
-}
-
-let structure_candidate items =
-  let decl = ref None and words = ref None in
-  List.iter
-    (fun (item : P.structure_item) ->
-      match item.P.pstr_desc with
-      | P.Pstr_type (_, decls) -> (
-          match List.find_opt (fun d -> d.P.ptype_name.Asttypes.txt = "t") decls with
-          | Some d when !decl = None -> decl := Some d
-          | _ -> ())
-      | P.Pstr_value (_, vbs) ->
-          List.iter
-            (fun (vb : P.value_binding) ->
-              match vb.P.pvb_pat.P.ppat_desc with
-              | P.Ppat_var { txt = "words"; _ } when !words = None ->
-                  words := Some (vb.P.pvb_expr, vb.P.pvb_loc.Location.loc_start.Lexing.pos_lnum)
-              | _ -> ())
-            vbs
-      | _ -> ())
-    items;
-  match (!decl, !words) with Some d, Some (w, line) -> Some (d, w, line) | _ -> None
-
-let candidates_of (file, (structure : P.structure)) : candidate list =
-  let acc = ref [] in
-  let modname = Cg.module_of_file file in
-  let add prefix items =
-    match structure_candidate items with
-    | Some (d, w, line) ->
-        acc :=
-          {
-            cand_name = String.concat "." (modname :: List.rev prefix);
-            cand_file = file;
-            cand_line = line;
-            cand_decl = d;
-            cand_words = w;
-          }
-          :: !acc
-    | None -> ()
-  in
-  let rec scan_mod prefix (me : P.module_expr) =
-    match me.P.pmod_desc with
-    | P.Pmod_structure items ->
-        (* only submodules / functor arguments: a file's top level is the
-           module's public surface, not a message envelope (Metrics has a
-           top-level [words] accessor) *)
-        if prefix <> [] then add prefix items;
-        scan_items prefix items
-    | P.Pmod_functor (_, body) -> scan_mod prefix body
-    | P.Pmod_apply (f, arg) ->
-        scan_mod prefix f;
-        scan_mod prefix arg
-    | P.Pmod_constraint (m, _) -> scan_mod prefix m
+let findings ~file (structure : P.structure) =
+  let out = ref [] in
+  let modname = String.capitalize_ascii (Filename.remove_extension (Filename.basename file)) in
+  let check prefix items =
+    let is_t (d : P.type_declaration) = d.ptype_name.txt = "t" in
+    let is_words (vb : P.value_binding) =
+      match vb.pvb_pat.ppat_desc with Ppat_var { txt = "words"; _ } -> true | _ -> false
+    in
+    let find f = List.find_map (fun (it : P.structure_item) -> f it.pstr_desc) items in
+    let decl = find (function P.Pstr_type (_, ds) -> List.find_opt is_t ds | _ -> None)
+    and words = find (function P.Pstr_value (_, vbs) -> List.find_opt is_words vbs | _ -> None) in
+    match (decl, words) with
+    | Some d, Some vb -> (
+        let name = String.concat "." (modname :: List.rev prefix) in
+        let flag fmt =
+          Printf.ksprintf
+            (fun message ->
+              let line = vb.pvb_loc.loc_start.pos_lnum in
+              out := { Lint_core.rule = "bandwidth-sound"; file; line; col = 0; message } :: !out)
+            fmt
+        in
+        match (decl_cost d, charge (strip_params vb.pvb_expr)) with
+        | None, _ ->
+            flag
+              "message module `%s`: cannot derive a static size bound from its `type t` \
+               (unknown field type); bound the type or justify in the baseline"
+              name
+        | _, None ->
+            flag
+              "message module `%s`: cannot derive a static charging bound from its `words` \
+               body; keep it a constant/match/sum over `M.words`"
+              name
+        | Some content, Some charged ->
+            if charged.c < content.c || charged.p < content.p then
+              flag
+                "message module `%s` may undercharge: static content bound is %s word(s) but \
+                 `words` charges at most %s — every accepted word must be accounted"
+                name (lin_str content) (lin_str charged);
+            if charged.p > 1 then
+              flag
+                "message wrapper `%s` charges %d payloads per message; the CONGEST envelope \
+                 must carry one payload plus O(1) header words"
+                name charged.p)
     | _ -> ()
-  and scan_items prefix items =
+  in
+  (* only submodules and functor arguments: a file's top level is the
+     module's public surface, not a message envelope (Metrics has a
+     top-level [words] accessor) *)
+  let rec scan_items prefix items =
     List.iter
-      (fun (item : P.structure_item) ->
-        match item.P.pstr_desc with
-        | P.Pstr_module mb ->
-            let name = match mb.P.pmb_name.Asttypes.txt with Some n -> n | None -> "_" in
-            scan_mod (name :: prefix) mb.P.pmb_expr
-        | P.Pstr_recmodule mbs ->
-            List.iter
-              (fun (mb : P.module_binding) ->
-                let name =
-                  match mb.P.pmb_name.Asttypes.txt with Some n -> n | None -> "_"
-                in
-                scan_mod (name :: prefix) mb.P.pmb_expr)
-              mbs
+      (fun (it : P.structure_item) ->
+        let bind (mb : P.module_binding) =
+          scan_mod (Option.value mb.pmb_name.txt ~default:"_" :: prefix) mb.pmb_expr
+        in
+        match it.pstr_desc with
+        | Pstr_module mb -> bind mb
+        | Pstr_recmodule mbs -> List.iter bind mbs
         | _ -> ())
       items
+  and scan_mod prefix (me : P.module_expr) =
+    match me.pmod_desc with
+    | Pmod_structure items ->
+        check prefix items;
+        scan_items prefix items
+    | Pmod_functor (_, body) | Pmod_constraint (body, _) -> scan_mod prefix body
+    | Pmod_apply (f, arg) ->
+        scan_mod prefix f;
+        scan_mod prefix arg
+    | _ -> ()
   in
   scan_items [] structure;
-  List.rev !acc
-
-(* ------------------------------------------------------------------ *)
-(* Verdicts *)
-
-type verdict = {
-  v_name : string;
-  v_file : string;
-  v_line : int;
-  v_algo : string;
-  v_kind : string;  (** ["algorithm"] (O(1) words) or ["wrapper"] (payload + O(1)) *)
-  v_content : string;
-  v_charged : string;
-  v_ok : bool;
-  v_note : string;
-}
-
-type report = {
-  b_verdicts : verdict list;
-  b_findings : Lint_core.finding list;
-  b_charge_sites : int;
-  b_all_pass : bool;
-}
-
-let algo_of_file file = Filename.remove_extension (Filename.basename file)
-
-let verdict_of (c : candidate) : verdict * Lint_core.finding list =
-  let finding message =
-    { Lint_core.rule = "bandwidth-sound"; file = c.cand_file; line = c.cand_line; col = 0; message }
-  in
-  let content = decl_cost c.cand_decl in
-  let charged = charge_of (strip_params c.cand_words) in
-  let algo = algo_of_file c.cand_file in
-  let base ~kind ~ok ~note findings =
-    ( {
-        v_name = c.cand_name;
-        v_file = c.cand_file;
-        v_line = c.cand_line;
-        v_algo = algo;
-        v_kind = kind;
-        v_content = (match content with Some l -> lin_str l | None -> "?");
-        v_charged = (match charged with Some ch -> lin_str ch.bmax | None -> "?");
-        v_ok = ok;
-        v_note = note;
-      },
-      findings )
-  in
-  match (content, charged) with
-  | None, _ ->
-      base ~kind:"unknown" ~ok:false ~note:"content bound underivable"
-        [
-          finding
-            (Printf.sprintf
-               "message module `%s`: cannot derive a static size bound from its `type t` \
-                (unknown field type); bound the type or justify in the baseline"
-               c.cand_name);
-        ]
-  | _, None ->
-      base ~kind:"unknown" ~ok:false ~note:"charging bound underivable"
-        [
-          finding
-            (Printf.sprintf
-               "message module `%s`: cannot derive a static charging bound from its `words` \
-                body (`%s`); keep it a constant/match/sum over `M.words`"
-               c.cand_name (normtext (strip_params c.cand_words)));
-        ]
-  | Some content, Some charged ->
-      let undercharge = not (lin_geq charged.bmax content) in
-      let kind = if content.p = 0 && charged.bmax.p = 0 then "algorithm" else "wrapper" in
-      let fs =
-        if undercharge then
-          [
-            finding
-              (Printf.sprintf
-                 "message module `%s` may undercharge: static content bound is %s word(s) \
-                  but `words` charges at most %s — every accepted word must be accounted"
-                 c.cand_name (lin_str content) (lin_str charged.bmax));
-          ]
-        else []
-      in
-      let payload_blowup = kind = "wrapper" && charged.bmax.p > 1 in
-      let fs =
-        if payload_blowup then
-          finding
-            (Printf.sprintf
-               "message wrapper `%s` charges %d payloads per message; the CONGEST \
-                envelope must carry one payload plus O(1) header words"
-               c.cand_name charged.bmax.p)
-          :: fs
-        else fs
-      in
-      let ok = not undercharge && not payload_blowup in
-      let note =
-        if not ok then "undercharge"
-        else if kind = "algorithm" then
-          Printf.sprintf "O(1): <= %d word(s) of O(log n) bits per message" charged.bmax.c
-        else Printf.sprintf "payload + <= %d header word(s)" charged.bmax.c
-      in
-      base ~kind ~ok ~note fs
-
-(* ------------------------------------------------------------------ *)
-(* Charging-site certification *)
-
-let charge_target (e : P.expression) =
-  match e.P.pexp_desc with
-  | P.Pexp_ident { txt; _ } -> (
-      match List.rev (lid_flat txt) with
-      | ("add_words" | "add_checkpoint_words") :: rest -> (
-          match (rest : string list) with
-          | "Metrics" :: _ | [] -> (
-              match List.rev (lid_flat txt) with f :: _ -> Some f | [] -> None)
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
-
-type charge_app = { ca_fn : string; ca_measure : P.expression option; ca_line : int; ca_col : int }
-
-(* collect charge applications, local [let] definitions and [:=]
-   assignments inside one binding body *)
-let collect_binding (body : P.expression) =
-  let apps = ref [] and defs = Hashtbl.create 16 and assigns = Hashtbl.create 8 in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.P.pexp_desc with
-          | P.Pexp_apply (head, args) -> (
-              match charge_target head with
-              | Some fn ->
-                  let measure =
-                    match
-                      List.filter (fun (l, _) -> l = Asttypes.Nolabel) args |> List.rev
-                    with
-                    | (_, m) :: _ -> Some m
-                    | [] -> None
-                  in
-                  let pos = e.P.pexp_loc.Location.loc_start in
-                  apps :=
-                    {
-                      ca_fn = fn;
-                      ca_measure = measure;
-                      ca_line = pos.Lexing.pos_lnum;
-                      ca_col = pos.Lexing.pos_cnum - pos.Lexing.pos_bol;
-                    }
-                    :: !apps
-              | None -> (
-                  match (head.P.pexp_desc, args) with
-                  | ( P.Pexp_ident { txt = Longident.Lident ":="; _ },
-                      [
-                        (_, { P.pexp_desc = P.Pexp_ident { txt = Longident.Lident r; _ }; _ });
-                        (_, rhs);
-                      ] ) ->
-                      Hashtbl.add assigns r rhs
-                  | _ -> ()))
-          | P.Pexp_let (_, vbs, _) ->
-              List.iter
-                (fun (vb : P.value_binding) ->
-                  match vb.P.pvb_pat.P.ppat_desc with
-                  | P.Ppat_var { txt; _ } -> Hashtbl.replace defs txt vb.P.pvb_expr
-                  | _ -> ())
-                vbs
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e)
-    }
-  in
-  it.Ast_iterator.expr it body;
-  (List.rev !apps, defs, assigns)
-
-(* does [e] trace back to an [M.words] application? *)
-let rec words_derived depth defs (e : P.expression) =
-  depth < 8
-  &&
-  match e.P.pexp_desc with
-  | P.Pexp_apply (head, _) -> is_words_head head
-  | P.Pexp_ident { txt = Longident.Lident x; _ } -> (
-      match Hashtbl.find_opt defs x with
-      | Some d -> words_derived (depth + 1) defs d
-      | None -> false)
-  | _ -> false
-
-let deref (e : P.expression) =
-  match e.P.pexp_desc with
-  | P.Pexp_apply
-      ( { pexp_desc = P.Pexp_ident { txt = Longident.Lident "!"; _ }; _ },
-        [ (_, { P.pexp_desc = P.Pexp_ident { txt = Longident.Lident r; _ }; _ }) ] ) ->
-      Some r
-  | _ -> None
-
-let is_array_length (e : P.expression) =
-  match e.P.pexp_desc with
-  | P.Pexp_apply ({ pexp_desc = P.Pexp_ident { txt; _ }; _ }, _ :: _) -> (
-      match lid_flat txt with
-      | [ "Array"; "length" ] | [ "Stdlib"; "Array"; "length" ] -> true
-      | _ -> false)
-  | _ -> false
-
-(* an assignment [r := rhs] keeps the accumulator words-consistent when
-   it resets to a constant or bumps by a words-derived increment *)
-let assign_ok defs r (rhs : P.expression) =
-  match int_const rhs with
-  | Some _ -> true
-  | None -> (
-      match rhs.P.pexp_desc with
-      | P.Pexp_apply
-          ({ pexp_desc = P.Pexp_ident { txt = Longident.Lident "+"; _ }; _ }, [ (_, a); (_, b) ])
-        -> (
-          match (deref a, deref b) with
-          | Some r', _ when r' = r -> words_derived 0 defs b
-          | _, Some r' when r' = r -> words_derived 0 defs a
-          | _ -> false)
-      | _ -> false)
-
-let charge_findings (cg : Cg.t) =
-  let findings = ref [] and certified = ref 0 in
-  List.iter
-    (fun sym ->
-      match Cg.find cg sym with
-      | None -> ()
-      | Some b when not (Lint_core.applies "bandwidth-charge" b.Cg.file) -> ()
-      | Some b ->
-          let apps, defs, assigns = collect_binding b.Cg.expr in
-          List.iter
-            (fun ca ->
-              let bad message =
-                findings :=
-                  {
-                    Lint_core.rule = "bandwidth-charge";
-                    file = b.Cg.file;
-                    line = ca.ca_line;
-                    col = ca.ca_col;
-                    message;
-                  }
-                  :: !findings
-              in
-              let site_ok = b.Cg.is_charge_site in
-              if not site_ok then
-                bad
-                  (Printf.sprintf
-                     "`%s` charges Metrics.%s but is not annotated [@@charge_site]: every \
-                      message/storage accounting entry point must be audited (DESIGN.md §3i)"
-                     (Cg.display sym) ca.ca_fn);
-              let measure_ok =
-                match ca.ca_measure with
-                | None -> false
-                | Some m -> (
-                    if is_array_length m || words_derived 0 defs m then true
-                    else
-                      match deref m with
-                      | Some r -> (
-                          match Hashtbl.find_all assigns r with
-                          | [] -> false
-                          | rhss -> List.for_all (assign_ok defs r) rhss)
-                      | None -> false)
-              in
-              if not measure_ok then
-                bad
-                  (Printf.sprintf
-                     "`%s` charges Metrics.%s with measure `%s`, which does not reduce to \
-                      an M.words accumulation or Array.length: the runtime account would \
-                      diverge from the certified static bound"
-                     (Cg.display sym) ca.ca_fn
-                     (match ca.ca_measure with Some m -> normtext m | None -> "<none>"));
-              if site_ok && measure_ok then incr certified)
-            apps)
-    cg.Cg.order;
-  (List.rev !findings, !certified)
-
-(* ------------------------------------------------------------------ *)
-
-let analyze (cg : Cg.t) (parsed : (string * P.structure) list) : report =
-  let verdicts = ref [] and findings = ref [] in
-  List.iter
-    (fun fs ->
-      List.iter
-        (fun c ->
-          let v, fs = verdict_of c in
-          verdicts := v :: !verdicts;
-          findings := List.rev_append fs !findings)
-        (candidates_of fs))
-    parsed;
-  let charge_fs, certified = charge_findings cg in
-  let findings =
-    List.sort
-      (fun (a : Lint_core.finding) (b : Lint_core.finding) ->
-        match String.compare a.file b.file with
-        | 0 -> (
-            match Int.compare a.line b.line with
-            | 0 -> (
-                match Int.compare a.col b.col with
-                | 0 -> String.compare a.message b.message
-                | c -> c)
-            | c -> c)
-        | c -> c)
-      (List.rev_append !findings charge_fs)
-  in
-  let verdicts = List.rev !verdicts in
-  {
-    b_verdicts = verdicts;
-    b_findings = findings;
-    b_charge_sites = certified;
-    b_all_pass = findings = [] && List.for_all (fun v -> v.v_ok) verdicts;
-  }
-
-let findings_of_report r = r.b_findings
-let findings cg parsed = findings_of_report (analyze cg parsed)
-
-let to_json (r : report) =
-  let esc = Effects.json_escape in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"schema\": \"repro-lint/bandwidth/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"summary\": {\"candidates\": %d, \"algorithms\": %d, \"charge_sites\": %d, \
-        \"findings\": %d, \"all_pass\": %b},\n"
-       (List.length r.b_verdicts)
-       (List.length (List.filter (fun v -> v.v_kind = "algorithm") r.b_verdicts))
-       r.b_charge_sites
-       (List.length r.b_findings)
-       r.b_all_pass);
-  Buffer.add_string buf "  \"verdicts\": [\n";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"algorithm\": \"%s\", \"kind\": \"%s\", \"file\": \
-            \"%s\", \"line\": %d, \"content_words\": \"%s\", \"charged_words\": \"%s\", \
-            \"verdict\": \"%s\", \"note\": \"%s\"}"
-           (esc v.v_name) (esc v.v_algo) (esc v.v_kind) (esc v.v_file) v.v_line
-           (esc v.v_content) (esc v.v_charged)
-           (if v.v_ok then "pass" else "fail")
-           (esc v.v_note)))
-    r.b_verdicts;
-  Buffer.add_string buf "\n  ],\n  \"findings\": [\n";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (Format.asprintf "    %a" Lint_core.pp_finding_json f))
-    r.b_findings;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  List.rev !out

@@ -62,7 +62,6 @@ type binding = {
   col : int;
   is_mutable_value : bool;
   is_hot : bool;  (* carries a [@@hot] attribute: allocation-discipline obligation *)
-  is_charge_site : bool;  (* carries [@@charge_site]: audited accounting entry point *)
   calls : sym list;  (* resolved in-repo references, sorted, deduplicated *)
   externals : string list;  (* unresolved qualified refs + effectful bare idents *)
   mutates : sym list;  (* resolved references in mutation position *)
@@ -112,7 +111,6 @@ type raw_binding = {
   rb_loc : Location.t;
   rb_mutable : bool;
   rb_hot : bool;
-  rb_charge : bool;
   rb_refs : string list list ref;
   rb_muts : string list list ref;
   mutable rb_assert_false : bool;
@@ -176,8 +174,7 @@ let rec is_mutable_rhs (e : P.expression) =
   | _ -> false
 
 (* binding-level attributes the analyses consume: [@@hot] marks an
-   allocation-discipline obligation, [@@charge_site] an audited
-   accounting entry point *)
+   allocation-discipline obligation *)
 let has_attr name (attrs : P.attributes) =
   List.exists (fun (a : P.attribute) -> a.attr_name.txt = name) attrs
 
@@ -382,7 +379,6 @@ let rec walk_structure ~file ~prefix ~as_callbacks ~bindings ~aliases ~callbacks
                       rb_loc = vb.pvb_pat.ppat_loc;
                       rb_mutable = is_mutable_rhs vb.pvb_expr;
                       rb_hot = has_attr "hot" vb.pvb_attributes;
-                      rb_charge = has_attr "charge_site" vb.pvb_attributes;
                       rb_refs = ref [];
                       rb_muts = ref [];
                       rb_assert_false = false;
@@ -646,7 +642,6 @@ let build parsed =
               col = pos.pos_cnum - pos.pos_bol;
               is_mutable_value = rb.rb_mutable;
               is_hot = rb.rb_hot;
-              is_charge_site = rb.rb_charge;
               calls;
               externals;
               mutates;

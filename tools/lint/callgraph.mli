@@ -31,10 +31,6 @@ type binding = {
       (** defined as [ref]/[Hashtbl.create]/[Array.make]/[Buffer.create]/
           an array literal/...: module-level mutable state *)
   is_hot : bool;  (** carries [@@hot]: statically certified allocation-free *)
-  is_charge_site : bool;
-      (** carries [@@charge_site]: an audited entry point of the message/
-          storage accounting path, allowed to call [Metrics.add_words] /
-          [add_checkpoint_words] (certified by the bandwidth pass) *)
   calls : sym list;  (** resolved in-repo references, sorted, deduplicated *)
   externals : string list;
       (** unresolved qualified references (dotted), plus effectful bare

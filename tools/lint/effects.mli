@@ -23,7 +23,7 @@ val find : t -> Callgraph.sym -> summary option
     ["<file>#<dotted path>"]. *)
 val sym_id : Callgraph.sym -> string
 
-(** JSON string escaping shared by the [alloc.json]/[bandwidth.json]
+(** JSON string escaping shared by the [effects.json]/[alloc.json]
     emitters. *)
 val json_escape : string -> string
 

@@ -1,27 +1,26 @@
 (* CLI driver for the model-compliance lint:
 
      lint [--format text|json] [--baseline FILE] [--only PASS]
-          [--effects-out FILE] [--alloc-out FILE] [--bandwidth-out FILE]
-          [--bench-out FILE] [--update-baseline] <file-or-dir>...
+          [--effects-out FILE] [--alloc-out FILE] [--bench-out FILE]
+          [--update-baseline] <file-or-dir>...
 
    Directories are walked recursively for [.ml] files (in sorted order,
    so output and baseline application are stable). Each file is parsed
-   once; the single-file rules run per file and the whole file set
-   feeds the interprocedural passes (symbol/call graph -> effect
-   summaries -> node-locality / send-discipline -> hot-alloc ->
-   bandwidth). [--only PASS] runs exactly one of
-   rules/interproc/alloc/bandwidth (unknown pass names are a usage
+   once; the single-file rules (including the per-file bandwidth-sound
+   message-size rule) run per file and the whole file set feeds the
+   interprocedural passes (symbol/call graph -> effect summaries ->
+   node-locality / send-discipline -> hot-alloc). [--only PASS] runs
+   exactly one of rules/interproc/alloc (unknown pass names are a usage
    error, exit 2); baseline entries for the other passes are set aside
-   rather than reported stale. [--effects-out]/[--alloc-out]/
-   [--bandwidth-out] additionally dump the corresponding JSON reports;
-   [--bench-out] writes BENCH_lint.json timing rows (whole-repo
-   certifier wall-clock, plus a per-pass row for the bandwidth
-   certifier) so analysis cost is tracked alongside the fault
-   benches. [--update-baseline] rewrites the baseline file in
-   place from the current findings instead of reporting them. A
-   baseline entry still marked "TODO justify" fails the build. Exits 0
-   when clean, 1 on findings, stale baseline entries, or unjustified
-   entries, 2 on usage/parse errors or nonexistent paths. *)
+   rather than reported stale. [--effects-out]/[--alloc-out]
+   additionally dump the corresponding JSON reports; [--bench-out]
+   writes a BENCH_lint.json row with the whole-repo certifier
+   wall-clock, so analysis cost is tracked alongside the fault benches.
+   [--update-baseline] rewrites the baseline file in place from the
+   current findings instead of reporting them. A baseline entry still
+   marked "TODO justify" fails the build. Exits 0 when clean, 1 on
+   findings, stale baseline entries, or unjustified entries, 2 on
+   usage/parse errors or nonexistent paths. *)
 
 module Lint_core = Repro_lint.Lint_core
 module Interproc = Repro_lint.Interproc
@@ -32,10 +31,9 @@ module Bandwidth = Repro_lint.Bandwidth
 
 let usage =
   "lint [--format text|json] [--baseline FILE] [--only PASS] [--effects-out FILE] \
-   [--alloc-out FILE] [--bandwidth-out FILE] [--bench-out FILE] [--update-baseline] \
-   <file-or-dir>..."
+   [--alloc-out FILE] [--bench-out FILE] [--update-baseline] <file-or-dir>..."
 
-let passes = [ "rules"; "interproc"; "alloc"; "bandwidth" ]
+let passes = [ "rules"; "interproc"; "alloc" ]
 
 (* the rule ids each pass owns, for scoping the baseline under --only *)
 let pass_rules = function
@@ -45,7 +43,6 @@ let pass_rules = function
         Lint_core.rule_ids
   | "interproc" -> [ "node-locality"; "send-discipline" ]
   | "alloc" -> [ "hot-alloc" ]
-  | "bandwidth" -> [ "bandwidth-sound"; "bandwidth-charge" ]
   | _ -> []
 
 let rec collect path acc =
@@ -67,7 +64,6 @@ let () =
   let baseline_path = ref "" in
   let effects_out = ref "" in
   let alloc_out = ref "" in
-  let bandwidth_out = ref "" in
   let bench_out = ref "" in
   let only = ref "" in
   let update_baseline = ref false in
@@ -84,12 +80,9 @@ let () =
       ( "--alloc-out",
         Arg.Set_string alloc_out,
         "FILE write the [@@hot] allocation-site report as JSON" );
-      ( "--bandwidth-out",
-        Arg.Set_string bandwidth_out,
-        "FILE write the per-algorithm bandwidth verdict table as JSON" );
       ( "--only",
         Arg.Set_string only,
-        "PASS run exactly one pass (rules|interproc|alloc|bandwidth)" );
+        "PASS run exactly one pass (rules|interproc|alloc)" );
       ( "--bench-out",
         Arg.Set_string bench_out,
         "FILE write a BENCH_lint.json timing row (certifier wall-clock)" );
@@ -149,13 +142,15 @@ let () =
   if !broken then exit 2;
   let parsed = List.rev !parsed in
   let run pass = !only = "" || !only = pass in
+  let started = Unix.gettimeofday () in
   let findings =
     if not (run "rules") then []
     else
       (* linear accumulation: rev_append per file, one final rev *)
       List.fold_left
         (fun acc (file, structure) ->
-          List.rev_append (Lint_core.lint_structure ~file structure) acc)
+          List.rev_append (Bandwidth.findings ~file structure)
+            (List.rev_append (Lint_core.lint_structure ~file structure) acc))
         [] parsed
       |> List.rev
   in
@@ -165,8 +160,7 @@ let () =
       Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json)
     end
   in
-  let started = Unix.gettimeofday () in
-  let interproc_wanted = List.exists run [ "interproc"; "alloc"; "bandwidth" ] in
+  let interproc_wanted = List.exists run [ "interproc"; "alloc" ] in
   let findings =
     if not interproc_wanted then findings
     else begin
@@ -175,45 +169,22 @@ let () =
         write_out !effects_out (Effects.to_json cg (Effects.summarize cg));
       let hot = if run "alloc" then Alloc.analyze cg else [] in
       if !alloc_out <> "" && run "alloc" then write_out !alloc_out (Alloc.to_json hot);
-      let timed f = let t0 = Unix.gettimeofday () in let r = f () in (r, Unix.gettimeofday () -. t0) in
-      let bandwidth_report, bandwidth_wall =
-        if run "bandwidth" then timed (fun () -> Some (Bandwidth.analyze cg parsed))
-        else (None, 0.)
-      in
-      (match bandwidth_report with
-      | Some r when !bandwidth_out <> "" -> write_out !bandwidth_out (Bandwidth.to_json r)
-      | _ -> ());
       if !bench_out <> "" then begin
         let wall = Unix.gettimeofday () -. started in
-        let rows =
-          [
-            Printf.sprintf
-              "{\"experiment\": \"lint\", \"files\": %d, \"bindings\": %d, \"callbacks\": \
-               %d, \"hot_functions\": %d, \"wall_s\": %.3f}"
-              (List.length cg.Callgraph.files)
-              (List.length cg.Callgraph.order)
-              (List.length cg.Callgraph.callbacks)
-              (List.length hot) wall;
-          ]
-          @
-          match bandwidth_report with
-          | Some r ->
-              [
-                Printf.sprintf
-                  "{\"experiment\": \"lint-bandwidth\", \"candidates\": %d, \
-                   \"charge_sites\": %d, \"wall_s\": %.3f}"
-                  (List.length r.Bandwidth.b_verdicts)
-                  r.Bandwidth.b_charge_sites bandwidth_wall;
-              ]
-          | None -> []
+        let row =
+          Printf.sprintf
+            "{\"experiment\": \"lint\", \"files\": %d, \"bindings\": %d, \"callbacks\": \
+             %d, \"hot_functions\": %d, \"wall_s\": %.3f}"
+            (List.length cg.Callgraph.files)
+            (List.length cg.Callgraph.order)
+            (List.length cg.Callgraph.callbacks)
+            (List.length hot) wall
         in
-        write_out !bench_out
-          (Printf.sprintf "{\n  \"rows\": [\n    %s\n  ]\n}\n" (String.concat ",\n    " rows))
+        write_out !bench_out (Printf.sprintf "{\n  \"rows\": [\n    %s\n  ]\n}\n" row)
       end;
       findings
       @ (if run "interproc" then Interproc.findings cg else [])
       @ Alloc.findings_of_reports hot
-      @ match bandwidth_report with Some r -> Bandwidth.findings_of_report r | None -> []
     end
   in
   let baseline_entries =

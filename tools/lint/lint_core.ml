@@ -50,18 +50,15 @@ let rules =
       "interprocedural: a [@@hot] function allocates (closure, tuple/record/variant box, \
        float box, partial application, or allocating callee) — the static form of the \
        EObs Gc.minor_words = 0 guarantee" );
+    (* the per-file message-size rule, implemented in Bandwidth *)
     ( "bandwidth-sound",
       "a message module's `words` may undercharge its statically bounded content: every \
        accepted word must be accounted for the CONGEST O(log n)-bit budget to mean anything" );
-    ( "bandwidth-charge",
-      "a Metrics.add_words / add_checkpoint_words caller is not an audited [@@charge_site] \
-       or charges a measure not derived from M.words / Array.length" );
   ]
 
 let rule_ids = List.map fst rules
 
-let interproc_rule_ids =
-  [ "node-locality"; "send-discipline"; "hot-alloc"; "bandwidth-sound"; "bandwidth-charge" ]
+let interproc_rule_ids = [ "node-locality"; "send-discipline"; "hot-alloc" ]
 
 (* ------------------------------------------------------------------ *)
 (* Path scoping *)
@@ -91,9 +88,6 @@ let applies rule file =
   match rule with
   | "lib-abort" -> under "lib" file
   | "poly-compare" | "hashtbl-order" -> under "lib/congest" file
-  (* the charging-path audit binds library code only: CLIs do
-     coordinator-side reporting, not per-message accounting *)
-  | "bandwidth-charge" -> under "lib" file
   | _ -> true (* node-locality and send-discipline bind wherever nodes run *)
 
 (* ------------------------------------------------------------------ *)

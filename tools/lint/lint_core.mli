@@ -14,8 +14,8 @@ val rules : (string * string) list
 
 val rule_ids : string list
 
-(** The rule ids emitted by the interprocedural pass ([node-locality],
-    [send-discipline]) rather than the single-file walk. *)
+(** The rule ids emitted by the call-graph passes ([node-locality],
+    [send-discipline], [hot-alloc]) rather than the per-file rules. *)
 val interproc_rule_ids : string list
 
 (** [applies rule file] — is [rule] in force for [file]? Some rules are
