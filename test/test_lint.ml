@@ -433,10 +433,7 @@ let wrapper charge =
        end" );
   ]
 
-let test_bandwidth_rows () =
-  let msg charge =
-    [ ("fx/algo.ml", "module Msg = struct type t = int * int let words _ = " ^ charge ^ " end") ]
-  in
+let check_bandwidth_rows rows =
   List.iter
     (fun (row, sources, expect) ->
       let fs = bandwidth_findings sources in
@@ -444,16 +441,35 @@ let test_bandwidth_rows () =
       | None -> check_int (row ^ " clean") 0 (List.length fs)
       | Some substring ->
           check_bool (row ^ " flagged") true (has_finding "bandwidth-sound" substring fs))
-    [
-      ("2-word message charged 1", msg "1", Some "`Algo.Msg` may undercharge");
-      ("2-word message charged 2", msg "2", None);
-      ("one-payload wrapper", wrapper "1 + M.words m", None);
-      ( "two-payload wrapper",
-        wrapper "1 + M.words m + M.words m",
-        Some "`Wrap.Wrap.X` charges 2 payloads" );
-      ("bandwidth_bad fixture", fixture_dir "bandwidth_bad", Some "may undercharge");
-      ("bandwidth_ok fixture", fixture_dir "bandwidth_ok", None);
-    ]
+    rows
+
+let msg charge =
+  [ ("fx/algo.ml", "module Msg = struct type t = int * int let words _ = " ^ charge ^ " end") ]
+
+(* One table, registered as one alcotest case per message-size shape. *)
+let bandwidth_rows =
+  [
+    ( "undercharge",
+      fun () ->
+        [
+          ("2-word message charged 1", msg "1", Some "`Algo.Msg` may undercharge");
+          ("2-word message charged 2", msg "2", None);
+        ] );
+    ( "wrapper",
+      fun () ->
+        [
+          ("one-payload wrapper", wrapper "1 + M.words m", None);
+          ( "two-payload wrapper",
+            wrapper "1 + M.words m + M.words m",
+            Some "`Wrap.Wrap.X` charges 2 payloads" );
+        ] );
+    ( "fixture corpus",
+      fun () ->
+        [
+          ("bandwidth_bad fixture", fixture_dir "bandwidth_bad", Some "may undercharge");
+          ("bandwidth_ok fixture", fixture_dir "bandwidth_ok", None);
+        ] );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Baseline workflow *)
@@ -641,7 +657,8 @@ let () =
           Alcotest.test_case "fixture corpus" `Quick test_alloc_fixture_corpus;
         ] );
       ( "bandwidth",
-        [
-          Alcotest.test_case "undercharge" `Quick test_bandwidth_rows;
-        ] );
+        List.map
+          (fun (name, rows) ->
+            Alcotest.test_case name `Quick (fun () -> check_bandwidth_rows (rows ())))
+          bandwidth_rows );
     ]
