@@ -12,6 +12,8 @@ module Fault = Repro_congest.Fault
 module Recovery = Repro_congest.Recovery
 module Bfs_tree = Repro_congest.Bfs_tree
 module Bellman_ford = Repro_congest.Bellman_ford
+module Apsp = Repro_congest.Apsp
+module Multi_bfs = Repro_congest.Multi_bfs
 module Broadcast = Repro_congest.Broadcast
 module Async_engine = Repro_congest.Async_engine
 module Event = Repro_obs.Event
@@ -498,6 +500,10 @@ let straggler_sweep =
 
 let skewed_clock = Fault.profile ~duplicate:0.2 ~max_delay:2 ~skew:5 ~link_latency:3 ()
 
+(* garbled copies reach the transport's checksum: rejected, NACKed and
+   retransmitted *)
+let corrupt_lossy = Fault.profile ~drop:0.1 ~corrupt:0.15 ()
+
 let test_executor_golden_digests () =
   let check name want f =
     let got, _ = digest_run f in
@@ -515,6 +521,10 @@ let test_executor_golden_digests () =
     (bfs_and_bellman_ford skewed_clock);
   check "amnesia-lossy forced async" "e01c593340362e83c8debfc212f35c17" (fun () ->
       with_async (bfs_and_bellman_ford amnesia_lossy));
+  let got, events = digest_run (bfs_and_bellman_ford corrupt_lossy) in
+  check_bool "corrupt-lossy garbles copies" true
+    (List.exists (function Event.Corrupt _ -> true | _ -> false) events);
+  check_string "corrupt-lossy" "5127a498a862de6a2f19415894c9dbc7" got;
   (* deadline pacing: a x40 straggler is struck out and cut *)
   let saved = !Async_engine.deadline in
   Async_engine.deadline := 4;
@@ -533,6 +543,24 @@ let test_executor_golden_digests () =
   check_bool "deadline run cuts the straggler" true
     (List.exists (function Event.Straggler_cut _ -> true | _ -> false) events);
   check_string "deadline-cut" "7f4a225ee72d29d12c33bd48aed2ada0" got
+
+(* APSP and multi-BFS run fault-free on the bare engine; the digest pins
+   the rounds, messages and words they charge (and each send's size in
+   the event stream), so a change to either message's [words] shows *)
+let test_flood_golden_digests () =
+  let skel = Digraph.skeleton golden_graph in
+  let got, _ =
+    digest_run (fun () ->
+        let m = Metrics.create () in
+        let hops = Apsp.hop_distances skel ~metrics:m in
+        let diam = Apsp.diameter skel ~metrics:m in
+        let r = Multi_bfs.run skel ~roots:[ 0; 9; 17; 30 ] ~seed:5 ~metrics:m () in
+        ( Array.to_list hops
+          @ [ [| diam; r.Multi_bfs.rounds |] ]
+          @ Array.to_list r.Multi_bfs.dist,
+          m ))
+  in
+  check_string "apsp + multi-bfs" "8acf107d7f921441f84d97b6762b2db4" got
 
 let test_replay_divergence_raises () =
   (* replaying a trace against a different execution must fail loudly,
@@ -644,7 +672,10 @@ let () =
             test_async_replay_divergence_raises;
         ] );
       ( "executor",
-        [ Alcotest.test_case "golden digests" `Quick test_executor_golden_digests ] );
+        [
+          Alcotest.test_case "golden digests" `Quick test_executor_golden_digests;
+          Alcotest.test_case "flood golden digests" `Quick test_flood_golden_digests;
+        ] );
       ( "critical path",
         [
           Alcotest.test_case "flood on a path" `Quick test_critical_path_flood_on_path;
