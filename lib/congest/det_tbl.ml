@@ -2,19 +2,8 @@
    depends on insertion history and the hash function, so any
    order-sensitive consumer of [iter]/[fold] is a reproducibility bug
    (the [hashtbl-order] lint rule). This module is the one audited spot
-   allowed to touch raw iteration: everything order-sensitive goes
-   through a sort on the caller's key comparison, and the only
-   order-insensitive escape hatch is a boolean predicate. *)
-
-exception Found
-
-let exists p tbl =
-  (* order-insensitive by construction: a boolean OR over bindings
-     [lint: hashtbl-order] *)
-  try
-    Hashtbl.iter (fun k v -> if p k v then raise Found) tbl;
-    false
-  with Found -> true
+   allowed to touch raw iteration: everything goes through a sort on
+   the caller's key comparison. *)
 
 let bindings tbl ~compare:cmp =
   (* the fold order is irrelevant: sorted before returning

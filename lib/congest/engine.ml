@@ -40,6 +40,16 @@ let check_send ~runner ~label ~round ~node ~neighbors ~sent_to u =
          label round node u);
   Hashtbl.add sent_to u ()
 
+(* Sort an inbox by sender id. [List.sort] builds its local closures
+   before it looks at the length, so the empty and single-entry inboxes
+   of idle node-rounds are returned as they are. The sort is stable, so
+   copies from one sender keep their delivery order. *)
+let by_sender (a, _) (b, _) = Int.compare a b
+
+let sort_inbox = function
+  | ([] | [ _ ]) as inbox -> inbox
+  | inbox -> List.sort by_sender inbox
+
 module type MSG = sig
   type t
 
@@ -49,6 +59,20 @@ end
 module Make (M : MSG) = struct
   type inbox = (int * M.t) list
   type outbox = (int * M.t) list
+
+  (* a copy held back by a delay fault: the words measured at send, the
+     corruption decided in flight and, on the pulse loop, the physical
+     arrival time *)
+  type held = {
+    h_deliver_round : int;
+    h_dst : int;
+    h_src : int;
+    h_msg : M.t;
+    h_words : int;
+    h_send_round : int;
+    h_corrupted : bool;
+    h_arr : int;
+  }
 
   (* One executor core, two loops. Everything that enforces and counts
      the model (per-round setup, the trace preamble, send validation,
@@ -106,10 +130,13 @@ module Make (M : MSG) = struct
       | None -> fun ~round:_ ~node -> init node
     in
     let in_flight = ref false in
-    (* copies held back by a delay fault: (deliver_round, dst, src, msg,
-       words measured at send, send_round, corrupted in flight, physical
-       arrival time on the pulse loop) *)
-    let delayed = ref [] in
+    (* copies held back by a delay fault, bucketed by deliver round in a
+       ring: bucket [r mod size] holds the copies maturing into round [r],
+       newest first. Every held copy matures within [size] rounds (the
+       ring doubles when a longer delay arrives), so a bucket never mixes
+       deliver rounds. [held_count] counts the copies across buckets. *)
+    let held = ref (Array.make 8 []) in
+    let held_count = ref 0 in
     let sink = !trace_sink in
     let tracing = sink.Repro_obs.Sink.enabled in
     let emit e = Repro_obs.Sink.emit sink e in
@@ -223,8 +250,11 @@ module Make (M : MSG) = struct
     in
     let count_active () = count_active_from 0 0 in
     let rec any_live_active v = v < n && (live_active v || any_live_active (v + 1)) in
+    let rec any_filled inboxes v =
+      v < n && (match inboxes.(v) with [] -> any_filled inboxes (v + 1) | _ :: _ -> true)
+    in
     let continue () =
-      !in_flight || !delayed <> []
+      !in_flight || !held_count > 0
       (* an in-progress amnesia outage keeps the run alive so the
          scheduled restart (and any recovery it triggers) executes
          instead of quiescing with the node's fate unresolved *)
@@ -260,7 +290,7 @@ module Make (M : MSG) = struct
     let audit_round_end () =
       (* conservation: every accepted copy is in an inbox, destroyed, or
          still held by a delay fault *)
-      let in_flight_delayed = List.length !delayed in
+      let in_flight_delayed = !held_count in
       if !a_sent + !a_duplicated <> !a_delivered + !a_dropped + in_flight_delayed then
         violation
           (Printf.sprintf
@@ -273,16 +303,13 @@ module Make (M : MSG) = struct
       audit_counter "dropped" !a_dropped (Metrics.dropped metrics - base_dropped);
       audit_counter "duplicated" !a_duplicated (Metrics.duplicated metrics - base_duplicated)
     in
-    let audit_inbox_sorted v inbox =
-      let rec check = function
-        | (a, _) :: ((b, _) :: _ as rest) ->
-            if a > b then
-              violation
-                (Printf.sprintf "inbox of node %d not sorted by sender: %d before %d" v a b);
-            check rest
-        | _ -> ()
-      in
-      check inbox
+    let rec audit_inbox_sorted v = function
+      | (a, _) :: ((b, _) :: _ as rest) ->
+          if a > b then
+            violation
+              (Printf.sprintf "inbox of node %d not sorted by sender: %d before %d" v a b);
+          audit_inbox_sorted v rest
+      | _ -> ()
     in
     (* ---- virtual-time state of the pulse loop (empty on lockstep) ---- *)
     let vt_n = if async then n else 0 in
@@ -395,11 +422,40 @@ module Make (M : MSG) = struct
     let step_node v =
       (* contract: inboxes are presented sorted by sender id, so
          algorithms cannot depend on delivery-schedule accidents *)
-      let inbox = List.sort (fun (a, _) (b, _) -> Int.compare a b) !inboxes.(v) in
+      let inbox = sort_inbox !inboxes.(v) in
       if audit then audit_inbox_sorted v inbox;
       let st, outbox = step ~round:!round ~node:v states.(v) inbox in
       states.(v) <- st;
       outbox
+    in
+    let hold h =
+      let span = h.h_deliver_round - !round in
+      if span >= Array.length !held then begin
+        (* grow the ring; each bucket moves whole, keeping its order *)
+        let size = ref (2 * Array.length !held) in
+        while span >= !size do
+          size := 2 * !size
+        done;
+        let grown = Array.make !size [] in
+        Array.iter
+          (function
+            | [] -> ()
+            | h :: _ as bucket -> grown.(h.h_deliver_round mod !size) <- bucket)
+          !held;
+        held := grown
+      end;
+      let i = h.h_deliver_round mod Array.length !held in
+      !held.(i) <- h :: !held.(i);
+      incr held_count
+    in
+    let rec deliver_held = function
+      | [] -> ()
+      | h :: rest ->
+          decr held_count;
+          deliver ~send_round:h.h_send_round ~deliver_round:h.h_deliver_round ~words:h.h_words
+            ~arr:h.h_arr
+            ~corrupted:h.h_corrupted h.h_dst h.h_src h.h_msg;
+          deliver_held rest
     in
     (* route the [k]-th and later adversary copies of [v]'s send to [u]
        (recursive functions built once per run, not per send) *)
@@ -419,7 +475,17 @@ module Make (M : MSG) = struct
             (* a delay is a logical-schedule fault: on the pulse loop
                the copy is acked on its physical schedule but buffered
                until [deliver_round] *)
-            delayed := (deliver_round, u, v, msg, w, send_round, corrupted, arr) :: !delayed;
+            hold
+              {
+                h_deliver_round = deliver_round;
+                h_dst = u;
+                h_src = v;
+                h_msg = msg;
+                h_words = w;
+                h_send_round = send_round;
+                h_corrupted = corrupted;
+                h_arr = arr;
+              };
             if tracing then
               emit (Repro_obs.Event.Delay { round = send_round; src = v; dst = u; deliver_round })
           end;
@@ -565,21 +631,19 @@ module Make (M : MSG) = struct
     in
     let end_round () =
       (* copies whose delay matured this round join the next inboxes *)
-      let matured, still_held =
-        List.partition (fun (dr, _, _, _, _, _, _, _) -> dr = !round + 1) !delayed
-      in
-      delayed := still_held;
-      List.iter
-        (fun (dr, dst, src, msg, w, sr, corrupted, arr) ->
-          deliver ~send_round:sr ~deliver_round:dr ~words:w ~arr ~corrupted dst src msg)
-        matured;
+      if !held_count > 0 then begin
+        let i = (!round + 1) mod Array.length !held in
+        let matured = !held.(i) in
+        !held.(i) <- [];
+        deliver_held matured
+      end;
       (* swap the buffers: this round's deliveries become next round's
          inboxes, and the consumed array is wiped for reuse *)
       let filled = !next_inboxes in
       next_inboxes := !inboxes;
       inboxes := filled;
       Array.fill !next_inboxes 0 n [];
-      in_flight := Array.exists (fun ib -> ib <> []) filled;
+      in_flight := any_filled filled 0;
       Metrics.add_messages metrics !sent_this_round;
       Metrics.add_words metrics !words_this_round;
       Metrics.add_delivered metrics !delivered_this_round;

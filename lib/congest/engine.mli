@@ -109,6 +109,12 @@ val check_send :
   int ->
   unit
 
+(** [sort_inbox inbox] is [inbox] sorted by ascending sender id, stably
+    (copies from one sender keep their order). Empty and single-entry
+    inboxes are returned as they are, without allocating: the engine,
+    {!Transport} and {!Recovery} sort every inbox they present. *)
+val sort_inbox : (int * 'm) list -> (int * 'm) list
+
 module type MSG = sig
   type t
 

@@ -192,13 +192,12 @@ let restarted t ~round v =
 (* the window is "in progress" through the restart round itself ([<= u]):
    the restart is applied at round [u], so the run must still be alive
    then for the node to come back at all *)
-let amnesia_in_progress t ~round =
-  List.exists
-    (fun c ->
-      c.mode = Amnesia
-      && round >= c.from_round
-      && match c.until_round with Some u -> round <= u | None -> false)
-    t.p.crashes
+let amnesia_hit (c : crash) ~round _ =
+  c.mode = Amnesia
+  && round >= c.from_round
+  && match c.until_round with Some u -> round <= u | None -> false
+
+let amnesia_in_progress t ~round = exists amnesia_hit t.p.crashes ~round 0
 
 (* --------------------------------------------------------- partitions *)
 

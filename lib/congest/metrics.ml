@@ -54,9 +54,11 @@ let create () =
 let add t ~label k =
   if k < 0 then invalid_arg "Metrics.add: negative round count";
   t.rounds <- t.rounds + k;
-  match Hashtbl.find_opt t.per_label label with
-  | Some r -> r := !r + k
-  | None -> Hashtbl.add t.per_label label (ref k)
+  (* [find], not [find_opt]: the engine charges every round, and the hit
+     path should not allocate an option *)
+  match Hashtbl.find t.per_label label with
+  | r -> r := !r + k
+  | exception Not_found -> Hashtbl.add t.per_label label (ref k)
 
 let add_messages t k = t.messages <- t.messages + k [@@hot]
 let add_words t k = t.words <- t.words + k [@@hot]

@@ -4,7 +4,7 @@ type result = { dist : int array array; rounds : int }
 
 type state = {
   dists : int array;  (* per instance *)
-  queues : (int, (int * int) Queue.t) Hashtbl.t;  (* per neighbor *)
+  queues : (int * int) Queue.t array;  (* per neighbor, in [neighbors] order *)
   delayed : (int * int * int) list;  (* (start round, instance, dist 0) for roots *)
 }
 
@@ -28,29 +28,20 @@ let run skeleton ~roots ?(seed = 0) ~metrics () =
            (fun i (r, delay) -> if r = v then [ (delay, i, 0) ] else [])
            (List.combine roots delays))
     in
-    { dists = Array.make k inf; queues = Hashtbl.create 4; delayed }
+    {
+      dists = Array.make k inf;
+      queues = Array.map (fun _ -> Queue.create ()) neighbors.(v);
+      delayed;
+    }
   in
-  let announce st node i d =
-    Array.iter
-      (fun u ->
-        let q =
-          match Hashtbl.find_opt st.queues u with
-          | Some q -> q
-          | None ->
-              let q = Queue.create () in
-              Hashtbl.add st.queues u q;
-              q
-        in
-        Queue.add (i, d) q)
-      neighbors.(node)
-  in
+  let announce st i d = Array.iter (fun q -> Queue.add (i, d) q) st.queues in
   let step ~round ~node st inbox =
     (* relax received announcements *)
     List.iter
       (fun (_, (i, d)) ->
         if d + 1 < st.dists.(i) then begin
           st.dists.(i) <- d + 1;
-          announce st node i (d + 1)
+          announce st i (d + 1)
         end)
       inbox;
     (* root instances wake up at their delayed start *)
@@ -58,25 +49,29 @@ let run skeleton ~roots ?(seed = 0) ~metrics () =
       (fun (start, i, d) ->
         if start = round && d < st.dists.(i) then begin
           st.dists.(i) <- d;
-          announce st node i d
+          announce st i d
         end)
       st.delayed;
     (* one message per neighbor per round, in ascending neighbor order so
        the adversary's RNG consumption is schedule-independent *)
     let outbox = ref [] in
-    Array.iter
-      (fun u ->
-        match Hashtbl.find_opt st.queues u with
-        | Some q when not (Queue.is_empty q) -> outbox := (u, Queue.pop q) :: !outbox
-        | _ -> ())
+    Array.iteri
+      (fun j u ->
+        let q = st.queues.(j) in
+        if not (Queue.is_empty q) then outbox := (u, Queue.pop q) :: !outbox)
       neighbors.(node);
     (st, List.rev !outbox)
   in
-  let active st =
-    Det_tbl.exists (fun _ q -> not (Queue.is_empty q)) st.queues
-    || st.delayed <> []
-       && List.exists (fun (_, i, _) -> st.dists.(i) > 0) st.delayed
+  (* recursive scans instead of [Array.exists]/[List.exists]: no closure
+     per call, so the quiescence check allocates nothing *)
+  let rec queued qs j =
+    j < Array.length qs && ((not (Queue.is_empty qs.(j))) || queued qs (j + 1))
   in
+  let rec pending dists = function
+    | [] -> false
+    | (_, i, _) :: rest -> dists.(i) > 0 || pending dists rest
+  in
+  let active st = queued st.queues 0 || pending st.dists st.delayed in
   let before = Metrics.rounds metrics in
   let states =
     E.run skeleton ~init ~step ~active ~metrics ~label:"multi-bfs" ()

@@ -33,7 +33,10 @@ module Make (M : Engine.MSG) = struct
        out of scope. *)
     let checksum p = Hashtbl.hash (p.epoch, p.data, p.ack, p.nack)
 
-    let seal p = { p with crc = checksum p }
+    (* a sealed packet, built in one record allocation *)
+    let make ~epoch ~data ~ack ~nack =
+      { epoch; data; ack; nack; crc = Hashtbl.hash (epoch, data, ack, nack) }
+
     let intact p = checksum p = p.crc
   end
 
@@ -57,14 +60,17 @@ module Make (M : Engine.MSG) = struct
     mutable peer_epoch : int;  (* largest connection epoch seen from the peer *)
   }
 
-  (* [nbrs] is the sorted neighbor list: per-round link iteration walks it
-     instead of the [links] hashtable so packet launch order (and with it
-     the fault adversary's RNG consumption) is deterministic. *)
+  (* [nbrs] is the sorted neighbor list and [nbr_links.(i)] the link to
+     [nbrs.(i)]: per-round link iteration walks them instead of the
+     [links] hashtable, so packet launch order (and with it the fault
+     adversary's RNG consumption) is deterministic and no lookup hashes.
+     [links] serves lookups by sender and the send contract. *)
   type 'st node = {
-    user : 'st;
+    mutable user : 'st;
     my_epoch : int;  (* bumped to the restart round on every amnesia reboot *)
     links : (int, link) Hashtbl.t;
     nbrs : int array;
+    nbr_links : link array;
   }
 
   let fresh_link () =
@@ -99,9 +105,10 @@ module Make (M : Engine.MSG) = struct
     let tracing = sink.Repro_obs.Sink.enabled in
     let fresh_node ~epoch v user =
       let nbrs = Digraph.neighbors skeleton v in
+      let nbr_links = Array.map (fun _ -> fresh_link ()) nbrs in
       let links = Hashtbl.create 8 in
-      Array.iter (fun u -> Hashtbl.replace links u (fresh_link ())) nbrs;
-      { user; my_epoch = epoch; links; nbrs }
+      Array.iteri (fun i u -> Hashtbl.replace links u nbr_links.(i)) nbrs;
+      { user; my_epoch = epoch; links; nbrs; nbr_links }
     in
     let wrap_init v = fresh_node ~epoch:0 v (init v) in
     (* amnesia restart: all link state is volatile and lost; the engine
@@ -115,83 +122,92 @@ module Make (M : Engine.MSG) = struct
     let wrap_restart ~round ~node =
       fresh_node ~epoch:round node (restart_user ~round ~node)
     in
-    let wrap_step ~round ~node:v st inbox =
-      (* 1. absorb packets: track peer epochs, clear acked messages, ack
-         and dedup data. A packet from an epoch older than the peer's
-         known one predates the peer's last restart: ignore it entirely. *)
-      let fresh = ref [] in
-      List.iter
-        (fun (u, p) ->
+    (* 1. absorb packets: track peer epochs, clear acked messages, ack
+       and dedup data. A packet from an epoch older than the peer's known
+       one predates the peer's last restart: ignore it entirely. Returns
+       the fresh payloads, newest first. The per-node-round helpers here
+       are built once per run, so an idle node-round allocates nothing. *)
+    let rec absorb ~round v st fresh = function
+      | [] -> fresh
+      | (u, p) :: rest ->
           let l = Hashtbl.find st.links u in
-          if l.dead then ()
-          else if not (Packet.intact p) then begin
-            (* checksum failure: the payload was garbled in flight.
-               Reject the packet wholesale — its epoch, data, ack and
-               nack are all untrusted — and owe the peer a NACK so it
-               retransmits without waiting out its timeout. *)
-            Metrics.add_rejected metrics 1;
-            l.nack_owed <- true
-          end
-          else if p.Packet.epoch >= l.peer_epoch then begin
-            if p.Packet.epoch > l.peer_epoch then begin
-              (* the peer restarted: its sequence space starts over, and
-                 whatever we had delivered from the old connection is
-                 void — reset the receive watermark *)
-              l.peer_epoch <- p.Packet.epoch;
-              l.watermark <- -1
-            end;
-            (match p.Packet.ack with
-            | Some (e, s) when e = st.my_epoch -> (
-                match l.outstanding with
-                | Some (s', _) when s' = s ->
-                    l.outstanding <- None;
-                    l.backoff <- 0;
-                    l.retries <- 0;
-                    if tracing then
-                      Repro_obs.Sink.emit sink
-                        (Repro_obs.Event.Ack { round; src = v; dst = u; seq = s })
-                | _ -> ())
-            | _ -> ());
-            (* the peer rejected our last packet: fast-retransmit the
-               outstanding message this round (still counted against
-               the retry budget by the launch loop below) *)
-            (if p.Packet.nack then
-               match l.outstanding with
-               | Some (s, _) ->
-                   l.retry_round <- round;
-                   if tracing then
-                     Repro_obs.Sink.emit sink
-                       (Repro_obs.Event.Nack { round; src = v; dst = u; seq = s })
-               | None -> ());
-            match p.Packet.data with
-            | Some (s, payload) ->
-                Queue.add (p.Packet.epoch, s) l.ackq;
-                if s > l.watermark then begin
-                  l.watermark <- s;
-                  fresh := (u, payload) :: !fresh
-                end
-            | None -> ()
-          end)
-        inbox;
-      (* 2. run the user's step on the deduplicated, sender-sorted inbox *)
-      let user_inbox = List.sort (fun (a, _) (b, _) -> Int.compare a b) !fresh in
-      let user, user_out = step ~round ~node:v st.user user_inbox in
-      let queued_to = Hashtbl.create 4 in
-      List.iter
-        (fun (u, m) ->
+          let fresh =
+            if l.dead then fresh
+            else if not (Packet.intact p) then begin
+              (* checksum failure: the payload was garbled in flight.
+                 Reject the packet wholesale — its epoch, data, ack and
+                 nack are all untrusted — and owe the peer a NACK so it
+                 retransmits without waiting out its timeout. *)
+              Metrics.add_rejected metrics 1;
+              l.nack_owed <- true;
+              fresh
+            end
+            else if p.Packet.epoch >= l.peer_epoch then begin
+              if p.Packet.epoch > l.peer_epoch then begin
+                (* the peer restarted: its sequence space starts over, and
+                   whatever we had delivered from the old connection is
+                   void — reset the receive watermark *)
+                l.peer_epoch <- p.Packet.epoch;
+                l.watermark <- -1
+              end;
+              (match p.Packet.ack with
+              | Some (e, s) when e = st.my_epoch -> (
+                  match l.outstanding with
+                  | Some (s', _) when s' = s ->
+                      l.outstanding <- None;
+                      l.backoff <- 0;
+                      l.retries <- 0;
+                      if tracing then
+                        Repro_obs.Sink.emit sink
+                          (Repro_obs.Event.Ack { round; src = v; dst = u; seq = s })
+                  | _ -> ())
+              | _ -> ());
+              (* the peer rejected our last packet: fast-retransmit the
+                 outstanding message this round (still counted against
+                 the retry budget by the launch loop below) *)
+              (if p.Packet.nack then
+                 match l.outstanding with
+                 | Some (s, _) ->
+                     l.retry_round <- round;
+                     if tracing then
+                       Repro_obs.Sink.emit sink
+                         (Repro_obs.Event.Nack { round; src = v; dst = u; seq = s })
+                 | None -> ());
+              match p.Packet.data with
+              | Some (s, payload) ->
+                  Queue.add (p.Packet.epoch, s) l.ackq;
+                  if s > l.watermark then begin
+                    l.watermark <- s;
+                    (u, payload) :: fresh
+                  end
+                  else fresh
+              | None -> fresh
+            end
+            else fresh
+          in
+          absorb ~round v st fresh rest
+    in
+    (* one table for the whole run: the user step's send contract *)
+    let queued_to = Hashtbl.create 8 in
+    let rec enqueue ~round v st = function
+      | [] -> ()
+      | (u, m) :: rest ->
           Engine.check_send ~runner:"Transport.run" ~label ~round ~node:v ~neighbors:st.links
             ~sent_to:queued_to u;
           let l = Hashtbl.find st.links u in
-          if not l.dead then Queue.add m l.sendq)
-        user_out;
-      (* 3. per link, in ascending neighbor order: retransmit if the
-         timeout expired, else launch the next queued message; piggyback
-         one owed ack *)
-      let out = ref [] in
-      Array.iter
-        (fun u ->
-          let l = Hashtbl.find st.links u in
-          if not l.dead then begin
+          if not l.dead then Queue.add m l.sendq;
+          enqueue ~round v st rest
+    in
+    (* 3. per link, in ascending neighbor order: retransmit if the
+       timeout expired, else launch the next queued message; piggyback
+       one owed ack. Packets are consed, so the last link's is first. *)
+    let rec launch ~round v st i out =
+      if i = Array.length st.nbrs then out
+      else begin
+        let u = st.nbrs.(i) and l = st.nbr_links.(i) in
+        let out =
+          if l.dead then out
+          else begin
             let data =
               match l.outstanding with
               | Some (s, _) when round >= l.retry_round && l.retries >= max_retries ->
@@ -212,7 +228,7 @@ module Make (M : Engine.MSG) = struct
                       (Repro_obs.Event.Link_lost
                          { round; src = v; dst = u; seq = s; retries = l.retries });
                   None
-              | Some (s, m) when round >= l.retry_round ->
+              | Some (s, _) as outstanding when round >= l.retry_round ->
                   Metrics.add_retransmissions metrics 1;
                   if tracing then
                     Repro_obs.Sink.emit sink
@@ -222,7 +238,7 @@ module Make (M : Engine.MSG) = struct
                   l.retry_round <-
                     round + (rto lsl l.backoff)
                     + jitter ~src:v ~dst:u ~seq:s ~attempt:l.retries;
-                  Some (s, m)
+                  outstanding
               | Some _ -> None
               | None ->
                   if Queue.is_empty l.sendq then None
@@ -234,33 +250,47 @@ module Make (M : Engine.MSG) = struct
                     l.backoff <- 0;
                     l.retries <- 0;
                     l.retry_round <- round + rto;
-                    Some (s, m)
+                    l.outstanding
                   end
             in
-            if not l.dead then begin
+            if l.dead then out
+            else begin
               let ack = if Queue.is_empty l.ackq then None else Some (Queue.pop l.ackq) in
               let nack = l.nack_owed in
               l.nack_owed <- false;
-              if data <> None || ack <> None || nack then
-                out :=
-                  (u, Packet.seal { Packet.epoch = st.my_epoch; data; ack; nack; crc = 0 })
-                  :: !out
+              match (data, ack) with
+              | None, None when not nack -> out
+              | _ -> (u, Packet.make ~epoch:st.my_epoch ~data ~ack ~nack) :: out
             end
-          end)
-        st.nbrs;
-      ({ st with user }, !out)
+          end
+        in
+        launch ~round v st (i + 1) out
+      end
     in
-    let wrap_active st =
-      active st.user
-      (* dead links hold no deliverable traffic and never block quiescence *)
-      || Det_tbl.exists
-           (fun _ l ->
-             (not l.dead)
-             && (l.outstanding <> None
-                || (not (Queue.is_empty l.sendq))
-                || not (Queue.is_empty l.ackq)))
-           st.links
+    let wrap_step ~round ~node:v st inbox =
+      let fresh = absorb ~round v st [] inbox in
+      (* 2. run the user's step on the deduplicated, sender-sorted inbox *)
+      let stepped, user_out = step ~round ~node:v st.user (Engine.sort_inbox fresh) in
+      st.user <- stepped;
+      (match user_out with
+      | [] -> ()
+      | _ :: _ ->
+          Hashtbl.clear queued_to;
+          enqueue ~round v st user_out);
+      (st, launch ~round v st 0 [])
     in
+    (* dead links hold no deliverable traffic and never block quiescence *)
+    let rec links_busy links i =
+      i < Array.length links
+      &&
+      let l = links.(i) in
+      ((not l.dead)
+      && (Option.is_some l.outstanding
+         || (not (Queue.is_empty l.sendq))
+         || not (Queue.is_empty l.ackq)))
+      || links_busy links (i + 1)
+    in
+    let wrap_active st = active st.user || links_busy st.nbr_links 0 in
     let states =
       E.run skeleton ?faults ~init:wrap_init ~step:wrap_step ~active:wrap_active
         ~on_restart:wrap_restart ?max_rounds
