@@ -594,8 +594,98 @@ let test_fault_predicates_do_not_allocate () =
       ignore (Fault.link_down f ~round:(i mod 64) ~src:(i land 3) ~dst:((i + 1) land 3)));
   zero_alloc "stalled_forever" (fun i ->
       ignore (Fault.stalled_forever f ~round:(i mod 64) (i land 7)));
+  zero_alloc "amnesia_in_progress" (fun i ->
+      ignore (Fault.amnesia_in_progress f ~round:(i mod 64)));
   zero_alloc "straggle_factor" (fun i ->
       ignore (Fault.straggle_factor f ~round:(i mod 64) (i land 7)))
+
+(* Idle node-rounds: every node steps every round on an empty inbox and
+   sends nothing; only node [n - 1] stays active, so each round's
+   quiescence check scans every node. The step's state is an immediate
+   bool, so the step itself allocates only its (state, outbox) result
+   tuple: 3 words. *)
+let idle_last = ref (-1)
+let idle_until = ref 0
+
+let idle_step ~round ~node st (_ : (int * int) list) =
+  if node = 0 then idle_last := round;
+  (st, ([] : (int * int) list))
+
+let idle_active st = st && !idle_last + 1 < !idle_until
+let idle_graph = Generators.grid 8 8
+let idle_init v = v = Digraph.n idle_graph - 1
+
+module Idle_msg = struct
+  type t = int
+
+  let words _ = 1
+end
+
+module Idle_engine = Engine.Make (Idle_msg)
+module Idle_transport = Transport.Make (Idle_msg)
+
+module Idle_recovery = Recovery.Make (struct
+  module Msg = Idle_msg
+
+  type st = bool
+
+  let init = idle_init
+  let step = idle_step
+  let active = idle_active
+  let snapshot _ = [||]
+  let restore ~node _ = idle_init node
+  let resync _ = None
+end)
+
+let idle_faults () =
+  Fault.create ~seed:1 (Fault.profile ~drop:0.1 ~duplicate:0.05 ~max_delay:2 ())
+
+(* marginal minor words per idle node-round: [run] for [r] rounds against
+   [2r] rounds, so per-run set-up cancels out *)
+let idle_words_per_node_round run =
+  let r = 200 in
+  let words rounds =
+    idle_last := -1;
+    idle_until := rounds;
+    let m = Metrics.create () in
+    let before = Gc.minor_words () in
+    run m;
+    let w = Gc.minor_words () -. before in
+    check_int "rounds run" rounds (Metrics.rounds m);
+    w
+  in
+  ignore (words r);
+  let w1 = words r in
+  let w2 = words (2 * r) in
+  (w2 -. w1) /. float_of_int (Digraph.n idle_graph * r)
+
+let check_idle_words name bound run =
+  let w = idle_words_per_node_round run in
+  if w > bound then
+    Alcotest.failf "%s: %.2f minor words per idle node-round (bound %.0f)" name w bound
+
+let test_engine_idle_round_allocation () =
+  check_idle_words "engine" 3. (fun m ->
+      ignore
+        (Idle_engine.run idle_graph ~init:idle_init ~step:idle_step ~active:idle_active
+           ~metrics:m ~label:"idle" ()));
+  check_idle_words "engine under faults" 3. (fun m ->
+      ignore
+        (Idle_engine.run idle_graph ~faults:(idle_faults ()) ~init:idle_init ~step:idle_step
+           ~active:idle_active ~metrics:m ~label:"idle" ()))
+
+(* the transport's own result tuple rides on the user step's: 6 words *)
+let test_transport_idle_round_allocation () =
+  check_idle_words "transport" 6. (fun m ->
+      ignore
+        (Idle_transport.run idle_graph ~faults:(idle_faults ()) ~init:idle_init
+           ~step:idle_step ~active:idle_active ~metrics:m ~label:"idle" ()))
+
+(* recovery wraps the user step and the transport wraps recovery: three
+   result tuples, 9 words *)
+let test_recovery_idle_round_allocation () =
+  check_idle_words "recovery" 9. (fun m ->
+      ignore (Idle_recovery.run idle_graph ~faults:(idle_faults ()) ~metrics:m ~label:"idle" ()))
 
 let test_fault_amnesia_requires_restart () =
   check_bool "amnesia crash-stop rejected" true
@@ -1477,6 +1567,12 @@ let () =
             test_fault_predicates_do_not_allocate;
           Alcotest.test_case "amnesia reinit" `Quick test_engine_amnesia_reinits_state;
           Alcotest.test_case "amnesia liveness" `Quick test_engine_amnesia_outage_keeps_run_alive;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "engine idle round" `Quick test_engine_idle_round_allocation;
+          Alcotest.test_case "transport idle round" `Quick test_transport_idle_round_allocation;
+          Alcotest.test_case "recovery idle round" `Quick test_recovery_idle_round_allocation;
         ] );
       ( "partition & integrity",
         [

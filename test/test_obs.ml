@@ -504,6 +504,9 @@ let skewed_clock = Fault.profile ~duplicate:0.2 ~max_delay:2 ~skew:5 ~link_laten
    retransmitted *)
 let corrupt_lossy = Fault.profile ~drop:0.1 ~corrupt:0.15 ()
 
+(* delays longer than the engine's initial ring of held-copy buckets *)
+let long_delay = Fault.profile ~drop:0.05 ~duplicate:0.2 ~max_delay:19 ()
+
 let test_executor_golden_digests () =
   let check name want f =
     let got, _ = digest_run f in
@@ -514,6 +517,15 @@ let test_executor_golden_digests () =
     (bfs_and_bellman_ford amnesia_lossy);
   check "partition-heal" "c70c5611a8403537e9d914403b5f4a6b"
     (bfs_and_bellman_ford partition_heal);
+  (* pinned on the engine that kept held copies in one list *)
+  let got, events = digest_run (bfs_and_bellman_ford long_delay) in
+  check_bool "long-delay holds copies past 8 rounds" true
+    (List.exists
+       (function
+         | Event.Delay { round; deliver_round; _ } -> deliver_round - round > 8
+         | _ -> false)
+       events);
+  check_string "long-delay" "a0e4374a38dbecea84e499212587ff1a" got;
   (* asynchronous: timing profiles, and a message-only profile forced *)
   check "straggler-sweep" "8d4026845d26882dc5939876a139267a"
     (bfs_and_bellman_ford straggler_sweep);
