@@ -432,15 +432,13 @@ module Make (M : MSG) = struct
       let span = h.h_deliver_round - !round in
       if span >= Array.length !held then begin
         (* grow the ring; each bucket moves whole, keeping its order *)
-        let size = ref (2 * Array.length !held) in
-        while span >= !size do
-          size := 2 * !size
-        done;
-        let grown = Array.make !size [] in
+        let rec fit size = if span < size then size else fit (2 * size) in
+        let size = fit (2 * Array.length !held) in
+        let grown = Array.make size [] in
         Array.iter
           (function
             | [] -> ()
-            | h :: _ as bucket -> grown.(h.h_deliver_round mod !size) <- bucket)
+            | first :: _ as bucket -> grown.(first.h_deliver_round mod size) <- bucket)
           !held;
         held := grown
       end;
@@ -453,8 +451,7 @@ module Make (M : MSG) = struct
       | h :: rest ->
           decr held_count;
           deliver ~send_round:h.h_send_round ~deliver_round:h.h_deliver_round ~words:h.h_words
-            ~arr:h.h_arr
-            ~corrupted:h.h_corrupted h.h_dst h.h_src h.h_msg;
+            ~arr:h.h_arr ~corrupted:h.h_corrupted h.h_dst h.h_src h.h_msg;
           deliver_held rest
     in
     (* route the [k]-th and later adversary copies of [v]'s send to [u]

@@ -31,13 +31,12 @@ module Make (M : Engine.MSG) = struct
        itself). The adversary's garbling is modeled as flipping [crc],
        so any mismatch test works; a real CRC's residual-error rate is
        out of scope. *)
-    let checksum p = Hashtbl.hash (p.epoch, p.data, p.ack, p.nack)
+    let hash epoch data ack nack = Hashtbl.hash (epoch, data, ack, nack)
 
     (* a sealed packet, built in one record allocation *)
-    let make ~epoch ~data ~ack ~nack =
-      { epoch; data; ack; nack; crc = Hashtbl.hash (epoch, data, ack, nack) }
+    let make ~epoch ~data ~ack ~nack = { epoch; data; ack; nack; crc = hash epoch data ack nack }
 
-    let intact p = checksum p = p.crc
+    let intact p = hash p.epoch p.data p.ack p.nack = p.crc
   end
 
   module E = Engine.Make (Packet)
