@@ -1,5 +1,3 @@
-module Pqueue = Repro_graph.Pqueue
-
 (* Process-wide dials, installed by the CLIs the same way as
    [Engine.audit_enabled]: the algorithm layers never thread them. *)
 let forced = ref false
@@ -11,23 +9,57 @@ let max_strikes = ref default_max_strikes
    stays a sane int even for pathological strike counts. *)
 let max_backoff_shift = 20
 
-type queue = { q : int Pqueue.t; stride : int }
+(* A binary min-heap of composite keys [vt * stride + node] in an int
+   array. Equal virtual times break by ascending node id, so pop order
+   is a deterministic function of the pushed set — never of
+   heap-internal operation order. The node is the key's remainder, so
+   an event is one unboxed int and push/pop allocate nothing once the
+   array has grown. Virtual times are bounded by max_rounds x
+   stall_factor x (1 + link latency), far below [max_int / stride] for
+   any graph the simulator handles, so the encoding cannot overflow. *)
+type queue = { mutable heap : int array; mutable size : int; stride : int }
 
-let create ~n = { q = Pqueue.create (); stride = max 1 n }
-let is_empty t = Pqueue.is_empty t.q
-let length t = Pqueue.length t.q
+let create ~n = { heap = Array.make (max 1 n) 0; size = 0; stride = max 1 n }
+let is_empty t = t.size = 0
 
-(* Composite priority [vt * stride + node]: equal virtual times break
-   by ascending node id, so pop order is a deterministic function of
-   the pushed set — never of heap-internal operation order. Virtual
-   times are bounded by max_rounds x stall_factor x (1 + link
-   latency), far below [max_int / stride] for any graph the simulator
-   handles, so the encoding cannot overflow. *)
-let push t ~vt v = Pqueue.push t.q ((vt * t.stride) + v) v
+let rec sift_up heap i key =
+  let parent = (i - 1) / 2 in
+  if i > 0 && heap.(parent) > key then begin
+    heap.(i) <- heap.(parent);
+    sift_up heap parent key
+  end
+  else heap.(i) <- key
 
-let pop t =
-  let prio, v = Pqueue.pop_min t.q in
-  (prio / t.stride, v)
+let rec sift_down heap size i key =
+  let l = (2 * i) + 1 in
+  if l >= size then heap.(i) <- key
+  else begin
+    let c = if l + 1 < size && heap.(l + 1) < heap.(l) then l + 1 else l in
+    if heap.(c) < key then begin
+      heap.(i) <- heap.(c);
+      sift_down heap size c key
+    end
+    else heap.(i) <- key
+  end
+
+let push t ~vt v =
+  if t.size = Array.length t.heap then begin
+    let grown = Array.make (2 * t.size) 0 in
+    Array.blit t.heap 0 grown 0 t.size;
+    t.heap <- grown
+  end;
+  t.size <- t.size + 1;
+  sift_up t.heap (t.size - 1) ((vt * t.stride) + v)
+
+let pop_key t =
+  if t.size = 0 then raise Not_found;
+  let top = t.heap.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then sift_down t.heap t.size 0 t.heap.(t.size);
+  top
+
+let key_vt t key = key / t.stride
+let key_node t key = key mod t.stride
 
 (* Wire-leg salts: the k-th copy of a data message, its acknowledgement
    and the SAFE fan-out draw independent latencies. [leg_safe] = 2 is

@@ -46,10 +46,10 @@ val max_backoff_shift : int
 
 (** {2 Virtual-time event queue}
 
-    Deterministic min-queue of [(vt, node)] events: ties in virtual
-    time break by ascending node id via a composite integer priority,
-    so pop order is a function of the pushed set — never of
-    heap-internal operation order. *)
+    Deterministic min-queue of [(vt, node)] events, each held as one
+    composite integer key: ties in virtual time break by ascending node
+    id, so pop order is a function of the pushed set — never of
+    heap-internal operation order. Push and pop allocate nothing. *)
 
 type queue
 
@@ -57,14 +57,17 @@ type queue
 val create : n:int -> queue
 
 val is_empty : queue -> bool
-val length : queue -> int
 
 (** [push q ~vt v] schedules node [v] at virtual time [vt]. *)
 val push : queue -> vt:int -> int -> unit
 
-(** [pop q] removes and returns the earliest [(vt, node)] event.
+(** [pop_key q] removes and returns the key of the earliest event; read
+    it with {!key_vt} and {!key_node}.
     @raise Not_found if empty. *)
-val pop : queue -> int * int
+val pop_key : queue -> int
+
+val key_vt : queue -> int -> int
+val key_node : queue -> int -> int
 
 (** {2 Wire legs}
 

@@ -108,11 +108,16 @@ module Make (M : MSG) = struct
       || match faults with Some f -> Fault.timing_active f | None -> false
     in
     let n = Digraph.n skeleton in
+    (* [Digraph.neighbors] builds its array afresh on every call, so the
+       pulse loop reads this copy instead *)
+    let nbrs = Array.init n (Digraph.neighbors skeleton) in
     let neighbor_sets =
-      Array.init n (fun v ->
+      Array.map
+        (fun vs ->
           let tbl = Hashtbl.create 8 in
-          Array.iter (fun u -> Hashtbl.replace tbl u ()) (Digraph.neighbors skeleton v);
+          Array.iter (fun u -> Hashtbl.replace tbl u ()) vs;
           tbl)
+        nbrs
     in
     let states = Array.init n init in
     (* double-buffered inboxes: both arrays live for the whole run and
@@ -591,7 +596,8 @@ module Make (M : MSG) = struct
       (* dispatch: pop this pulse's events in virtual-time order and run
          the user steps; fates wait for the commit *)
       while not (Async_engine.is_empty queue) do
-        let vt, v = Async_engine.pop queue in
+        let key = Async_engine.pop_key queue in
+        let vt = Async_engine.key_vt queue key and v = Async_engine.key_node queue key in
         if not (down v) then begin
           let factor =
             match faults with None -> 1 | Some f -> Fault.straggle_factor f ~round:!round v
@@ -618,9 +624,10 @@ module Make (M : MSG) = struct
           commit v outboxes.(v);
           outboxes.(v) <- [];
           Metrics.observe_virtual_time metrics safe_vt.(v);
-          Array.iter
-            (fun u -> if not (down u) then incr safe_this_round)
-            (Digraph.neighbors skeleton v);
+          let vs = nbrs.(v) in
+          for i = 0 to Array.length vs - 1 do
+            if not (down vs.(i)) then incr safe_this_round
+          done;
           if tracing then
             emit (Repro_obs.Event.Safe { round = !round; node = v; vt = safe_vt.(v) })
         end
@@ -667,60 +674,61 @@ module Make (M : MSG) = struct
         let gate = ref (max own next_inbox_vt.(v)) in
         if stepped.(v) then begin
           (* first pass: neighbor SAFE arrivals, tracking the top two
-             (by distinct sender) for the per-neighbor runner-up term *)
+             (by distinct sender) for the per-neighbor runner-up term;
+             [for] loops capture nothing, so these refs stay unboxed *)
           let sa_best = ref 0 and sa_best_u = ref (-1) and sa_second = ref 0 in
           let eligible = ref 0 in
-          Array.iter
-            (fun u ->
-              if u <> v && stepped.(u) && not (is_cut ~src:u ~dst:v) then begin
-                let sa =
-                  safe_vt.(u)
-                  + Async_engine.wire faults ~round:!round ~src:u ~dst:v
-                      ~leg:Async_engine.leg_safe
-                in
-                sa_scratch.(u) <- sa;
-                incr eligible;
-                if sa > !sa_best then begin
-                  sa_second := !sa_best;
-                  sa_best := sa;
-                  sa_best_u := u
-                end
-                else if sa > !sa_second then sa_second := sa;
-                if sa > !gate then gate := sa
-              end)
-            (Digraph.neighbors skeleton v);
+          let vs = nbrs.(v) in
+          for i = 0 to Array.length vs - 1 do
+            let u = vs.(i) in
+            if u <> v && stepped.(u) && not (is_cut ~src:u ~dst:v) then begin
+              let sa =
+                safe_vt.(u)
+                + Async_engine.wire faults ~round:!round ~src:u ~dst:v ~leg:Async_engine.leg_safe
+              in
+              sa_scratch.(u) <- sa;
+              incr eligible;
+              if sa > !sa_best then begin
+                sa_second := !sa_best;
+                sa_best := sa;
+                sa_best_u := u
+              end
+              else if sa > !sa_second then sa_second := sa;
+              if sa > !gate then gate := sa
+            end
+          done;
           (* striking needs an independent witness: with a single
              eligible neighbor there is no reference separating the
              neighbor's own lag from lag it merely inherits, and
              cutting your only neighbor just disconnects yourself *)
           if deadline_on && !eligible >= 2 then
-            Array.iter
-              (fun u ->
-                if u <> v && stepped.(u) && not (is_cut ~src:u ~dst:v) then begin
-                  let arr_u, arr_rest =
-                    if next_inbox_src.(v) = u then (next_inbox_vt.(v), next_inbox_vt2.(v))
-                    else (0, next_inbox_vt.(v))
-                  in
-                  let sa_rest = if !sa_best_u = u then !sa_second else !sa_best in
-                  let rest = max own (max arr_rest sa_rest) in
-                  let u_term = max sa_scratch.(u) arr_u in
-                  let key = (u * n) + v in
-                  let s = match Hashtbl.find_opt strikes key with Some s -> s | None -> 0 in
-                  if u_term - rest > 2 * Async_engine.strike_allowance ~strikes:s then begin
-                    let s = s + 1 in
-                    if s >= !Async_engine.max_strikes then begin
-                      Hashtbl.replace cut key ();
-                      Hashtbl.remove strikes key;
-                      if tracing then
-                        emit
-                          (Repro_obs.Event.Straggler_cut
-                             { round = !round; node = v; peer = u; vt = u_term })
-                    end
-                    else Hashtbl.replace strikes key s
+            for i = 0 to Array.length vs - 1 do
+              let u = vs.(i) in
+              if u <> v && stepped.(u) && not (is_cut ~src:u ~dst:v) then begin
+                let arr_u, arr_rest =
+                  if next_inbox_src.(v) = u then (next_inbox_vt.(v), next_inbox_vt2.(v))
+                  else (0, next_inbox_vt.(v))
+                in
+                let sa_rest = if !sa_best_u = u then !sa_second else !sa_best in
+                let rest = max own (max arr_rest sa_rest) in
+                let u_term = max sa_scratch.(u) arr_u in
+                let key = (u * n) + v in
+                let s = match Hashtbl.find_opt strikes key with Some s -> s | None -> 0 in
+                if u_term - rest > 2 * Async_engine.strike_allowance ~strikes:s then begin
+                  let s = s + 1 in
+                  if s >= !Async_engine.max_strikes then begin
+                    Hashtbl.replace cut key ();
+                    Hashtbl.remove strikes key;
+                    if tracing then
+                      emit
+                        (Repro_obs.Event.Straggler_cut
+                           { round = !round; node = v; peer = u; vt = u_term })
                   end
-                  else Hashtbl.remove strikes key
-                end)
-              (Digraph.neighbors skeleton v)
+                  else Hashtbl.replace strikes key s
+                end
+                else Hashtbl.remove strikes key
+              end
+            done
         end;
         next_inbox_vt.(v) <- 0;
         next_inbox_src.(v) <- -1;

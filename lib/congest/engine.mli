@@ -143,9 +143,9 @@ module Make (M : MSG) : sig
       - [init v] is node [v]'s initial state.
       - [step ~round ~node st inbox] returns the new state and outbox.
         [step] runs for every node in every round (an empty inbox means no
-        messages arrived). An idle node-round of the lockstep loop (empty
-        inbox, no sends) allocates nothing beyond [step]'s own result
-        (DESIGN.md §3f).
+        messages arrived). An idle node-round (empty inbox, no sends)
+        allocates nothing beyond [step]'s own result, except for the
+        pulse loop's link-latency draws (DESIGN.md §3f).
       - [active st] declares a node that wants another round even if it
         received nothing (e.g. it still has queued sends).
       - [faults], when given, is applied between outbox collection and

@@ -672,7 +672,12 @@ let test_engine_idle_round_allocation () =
   check_idle_words "engine under faults" 3. (fun m ->
       ignore
         (Idle_engine.run idle_graph ~faults:(idle_faults ()) ~init:idle_init ~step:idle_step
-           ~active:idle_active ~metrics:m ~label:"idle" ()))
+           ~active:idle_active ~metrics:m ~label:"idle" ()));
+  on_executor ~async:true (fun () ->
+      check_idle_words "engine pulse loop" 3. (fun m ->
+          ignore
+            (Idle_engine.run idle_graph ~init:idle_init ~step:idle_step ~active:idle_active
+               ~metrics:m ~label:"idle" ())))
 
 (* the transport's own result tuple rides on the user step's: 6 words *)
 let test_transport_idle_round_allocation () =
