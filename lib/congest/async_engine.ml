@@ -19,7 +19,7 @@ let max_backoff_shift = 20
    any graph the simulator handles, so the encoding cannot overflow. *)
 type queue = { mutable heap : int array; mutable size : int; stride : int }
 
-let create ~n = { heap = Array.make (max 1 n) 0; size = 0; stride = max 1 n }
+let create ~n = { heap = [||]; size = 0; stride = max 1 n }
 let is_empty t = t.size = 0
 
 let rec sift_up heap i key =
@@ -44,7 +44,7 @@ let rec sift_down heap size i key =
 
 let push t ~vt v =
   if t.size = Array.length t.heap then begin
-    let grown = Array.make (2 * t.size) 0 in
+    let grown = Array.make (max 8 (2 * t.size)) 0 in
     Array.blit t.heap 0 grown 0 t.size;
     t.heap <- grown
   end;

@@ -1515,6 +1515,24 @@ let prop_healed_partition_exact =
       && Metrics.corrupted m = Metrics.rejected m
       && Metrics.link_failures m = 0)
 
+(* the pulse loop pushes each node once per pulse, then pops them all:
+   pops come out by virtual time, ties by ascending node id *)
+let prop_async_queue_order =
+  QCheck.Test.make ~name:"async queue pops by (virtual time, node)" ~count:200
+    QCheck.(list (int_bound 50))
+    (fun vts ->
+      let n = List.length vts in
+      let q = Async_engine.create ~n in
+      let pushed = List.mapi (fun v vt -> (vt, v)) vts in
+      List.iter (fun (vt, v) -> Async_engine.push q ~vt v) (List.rev pushed);
+      let rec drain acc =
+        if Async_engine.is_empty q then List.rev acc
+        else begin
+          let key = Async_engine.pop_key q in
+          drain ((Async_engine.key_vt q key, Async_engine.key_node q key) :: acc)
+        end
+      in
+      drain [] = List.sort compare pushed)
 
 let () =
   let qsuite =
@@ -1528,6 +1546,7 @@ let () =
         prop_recovery_amnesia_oracle_exact;
         prop_fault_adversary_deterministic;
         prop_healed_partition_exact;
+        prop_async_queue_order;
       ]
   in
   Alcotest.run "repro_congest"
